@@ -28,7 +28,8 @@ from .theta import (
     lambda_prime,
     lambda_star,
     logcnk,
-    validate_eps,
+    shrink_epsilon,
+    theta_schedule,
 )
 
 __all__ = [
@@ -39,10 +40,11 @@ __all__ = [
     "estimate_theta",
     "ThetaEstimate",
     "EPS_UPPER_BOUND",
-    "validate_eps",
     "logcnk",
     "lambda_prime",
     "lambda_star",
+    "shrink_epsilon",
+    "theta_schedule",
     "select_seeds",
     "select_seeds_sorted",
     "select_seeds_hypergraph",

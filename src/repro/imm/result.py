@@ -95,16 +95,14 @@ class DegradedResult(IMMResult):
     The supervised engine landed ``theta_effective`` samples before the
     deadline; the seed set was selected from that in-order prefix.  The
     full-θ ``(1 - 1/e - eps)`` guarantee is *waived*:
-    ``epsilon_effective`` is the ε the surviving sample budget still
-    certifies, recomputed exactly as the MPI shrink policy recomputes it
-    (``λ*`` scales as ``1/ε²`` at fixed ``(n, k, l)``, so the ε that
-    ``theta_effective · LB`` samples certify inverts in closed form).
+    ``epsilon_effective`` is the ε the surviving ``theta_effective · LB``
+    sample budget still certifies (:func:`~repro.imm.theta.shrink_epsilon`).
     When the deadline expired before θ estimation finished, ``LB`` falls
     back to the trivial ``OPT >= 1`` bound and ``theta`` reports the
     landed count itself (no target θ was ever certified).
 
-    The same accounting is mirrored into ``extra`` under the keys the
-    distributed shrink policy uses (``degraded``, ``theta_effective``,
+    ``extra`` carries the same accounting under the keys the distributed
+    shrink policy uses (``degraded``, ``theta_effective``,
     ``lost_samples``, ``epsilon_effective``) so downstream tooling can
     treat both degradation paths uniformly.
     """

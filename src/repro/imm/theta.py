@@ -18,20 +18,29 @@ Formulas (Tang et al. 2015, Lemmas 6–7; ``ℓ`` inflated by
     β  = √((1 − 1/e) · (ln C(n,k) + ℓ ln n + ln 2))
     λ* = 2n · ((1 − 1/e)·α + β)² / ε²
 
+The search is written once, in :func:`theta_schedule`; each caller
+supplies only the step that brings its sample source to ``θ_x`` and
+covers it with ``k`` seeds — :func:`estimate_theta` (local samplers),
+:func:`repro.mpi.imm_dist` (SPMD ranks) and
+:meth:`repro.serving.InfluenceQueryEngine.top_k` (frozen-index prefixes).
+
 All sampling done during estimation is *kept*: Algorithm 1's subsequent
 ``Sample`` call only tops the collection up to θ.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Generator
 
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
 from ..perf.counters import WorkCounters
 from ..sampling import (
     BatchedRRRSampler,
+    ParallelSamplingEngine,
     RRRCollection,
     RRRSampler,
     SortedRRRCollection,
@@ -41,10 +50,12 @@ from .select import select_seeds
 
 __all__ = [
     "EPS_UPPER_BOUND",
-    "validate_eps",
     "logcnk",
     "lambda_prime",
     "lambda_star",
+    "shrink_epsilon",
+    "theta_schedule",
+    "drain",
     "estimate_theta",
     "ThetaEstimate",
 ]
@@ -53,20 +64,6 @@ __all__ = [
 #: ``(1 - 1/e - eps)``-approximation, which is vacuous (a non-positive
 #: factor) once ``eps`` reaches ``1 - 1/e``.
 EPS_UPPER_BOUND = 1.0 - 1.0 / math.e
-
-
-def validate_eps(eps: float) -> None:
-    """Reject ``eps`` outside ``(0, 1 - 1/e)``.
-
-    Shared by every driver that instantiates the Tang et al. sample
-    bounds (:func:`estimate_theta` and the distributed replica of its
-    control flow in :func:`repro.mpi.imm_dist`).
-    """
-    if not 0.0 < eps < EPS_UPPER_BOUND:
-        raise ValueError(
-            f"eps must lie in (0, 1 - 1/e) = (0, {EPS_UPPER_BOUND:.4f}) for the "
-            f"(1 - 1/e - eps) guarantee to be meaningful, got {eps}"
-        )
 
 
 def logcnk(n: int, k: int) -> float:
@@ -97,30 +94,129 @@ def lambda_star(n: int, k: int, eps: float, l: float) -> float:
     return 2.0 * n * (one_minus_inv_e * alpha + beta) ** 2 / (eps * eps)
 
 
+def shrink_epsilon(n: int, k: int, l: float, theta_effective: int, lb: float) -> float:
+    """The ε certified by a ``theta_effective · lb`` sample budget.
+
+    Every degraded answer reports its guarantee through this one
+    inversion — the MPI shrink policy, the supervised deadline path and
+    the serving tier's prefix fallbacks: λ*(n, k, ε, l) scales as 1/ε²
+    at fixed ``(n, k, l)``, so the ε a surviving budget certifies
+    inverts in closed form.
+    """
+    return math.sqrt(
+        lambda_star(n, k, 1.0, _inflated_l(n, l))
+        / max(theta_effective * lb, 1.0)
+    )
+
+
 @dataclass
 class ThetaEstimate:
-    """Output of :func:`estimate_theta`.
+    """Progress and outcome of the doubling search.
 
     Attributes
     ----------
     theta:
-        The required number of RRR sets.
+        The required number of RRR sets (0 while the search runs).
     lb:
         Certified lower bound on ``OPT`` (1.0 when no round accepted).
     collection:
-        The samples drawn during estimation (reused by Algorithm 1).
+        The samples drawn during estimation (reused by Algorithm 1);
+        ``None`` for callers whose samples do not live in one local
+        collection (distributed ranks, frozen-index replay).
     rounds:
         Number of doubling-search rounds executed.
     coverage_history:
         ``(theta_x, fraction_covered)`` per round, for diagnostics and
         the Figure 2 sweeps.
+    next_x:
+        The round the search runs next — past the last round once it
+        has ended.  With ``lb``, ``rounds`` and ``coverage_history`` it
+        is everything a checkpoint needs to resume the search.
     """
 
-    theta: int
-    lb: float
-    collection: RRRCollection
-    rounds: int
+    theta: int = 0
+    lb: float = 1.0
+    collection: RRRCollection | None = None
+    rounds: int = 0
     coverage_history: list[tuple[int, float]] = field(default_factory=list)
+    next_x: int = 1
+
+
+def theta_schedule(
+    n: int,
+    k: int,
+    eps: float,
+    l: float,
+    cover: Callable,
+    *,
+    theta_cap: int | None = None,
+    resume: ThetaEstimate | None = None,
+) -> Generator:
+    """Algorithm 2's doubling search over an abstract cover step.
+
+    ``cover(theta_x, est)`` brings the sample source to ``theta_x``
+    samples, selects ``k`` seeds over them and returns ``(covered,
+    population)``: how many samples the seeds cover out of how many
+    exist.  ``est`` is the search so far (a checkpoint's contents).  A
+    step may instead return a generator with that return value — an SPMD
+    rank's allreduces — which the schedule runs with ``yield from``.
+
+    The schedule is itself a generator: it yields only what such steps
+    yield, and returns the finished :class:`ThetaEstimate`.  Local
+    callers run it with :func:`drain`, an SPMD rank program with
+    ``yield from``.  ``resume`` continues a search from a checkpointed
+    round boundary.
+
+    Raises
+    ------
+    ValueError
+        If the instance is degenerate (``n < 2``, ``k < 1``, ``k > n``)
+        or ``eps`` is out of range.
+    """
+    if n < 2:
+        raise ValueError(f"IMM needs at least 2 vertices, got n={n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if not 0.0 < eps < EPS_UPPER_BOUND:
+        raise ValueError(
+            f"eps must lie in (0, 1 - 1/e) = (0, {EPS_UPPER_BOUND:.4f}) for the "
+            f"(1 - 1/e - eps) guarantee to be meaningful, got {eps}"
+        )
+    est = ThetaEstimate() if resume is None else resume
+    l_eff = _inflated_l(n, l)
+    eps_p = math.sqrt(2.0) * eps
+    lam_p = lambda_prime(n, k, eps, l_eff)
+    max_x = max(1, int(math.ceil(math.log2(n))) - 1)
+    while est.next_x <= max_x:
+        y = n / (2.0**est.next_x)
+        theta_x = int(math.ceil(lam_p / y))
+        if theta_cap is not None:
+            theta_x = min(theta_x, theta_cap)
+        step = cover(theta_x, est)
+        covered, population = (yield from step) if inspect.isgenerator(step) else step
+        frac = covered / max(population, 1)
+        est.rounds += 1
+        est.coverage_history.append((theta_x, frac))
+        est.next_x += 1
+        if n * frac >= (1.0 + eps_p) * y:
+            est.lb = n * frac / (1.0 + eps_p)
+            break
+        if theta_cap is not None and theta_x >= theta_cap:
+            break
+    est.next_x = max_x + 1
+    est.theta = int(math.ceil(lambda_star(n, k, eps, l_eff) / est.lb))
+    if theta_cap is not None:
+        est.theta = min(est.theta, theta_cap)
+    return est
+
+
+def drain(schedule: Generator) -> ThetaEstimate:
+    """Run a schedule whose cover steps never suspend (every local caller)."""
+    try:
+        next(schedule)
+    except StopIteration as done:
+        return done.value
+    raise RuntimeError("a local cover step suspended the θ schedule")
 
 
 def estimate_theta(
@@ -137,10 +233,6 @@ def estimate_theta(
     theta_cap: int | None = None,
     trace: list | None = None,
     num_ranks: int = 1,
-    workers: int = 1,
-    start_method: str | None = None,
-    supervise: bool = False,
-    supervisor_opts: dict | None = None,
 ) -> ThetaEstimate:
     """Estimate θ and return it with the samples drawn along the way.
 
@@ -158,12 +250,17 @@ def estimate_theta(
         Destination collection (defaults to a fresh
         :class:`SortedRRRCollection`); the parallel drivers pass their
         own so estimation samples are stored in the partitioned layout.
+        Coverage fractions are over ``len(collection)``, which may
+        already hold more than ``θ_x`` samples (``imm_sweep``).
     sampler:
-        Optional shared sampler scratch (a
-        :class:`~repro.sampling.batched.BatchedRRRSampler` or the serial
-        :class:`RRRSampler`); its type selects the engine used by
-        :func:`~repro.sampling.sampler.sample_batch`.  Defaults to a
-        fresh batched sampler — both engines produce bit-identical
+        Optional shared sampler (a
+        :class:`~repro.sampling.batched.BatchedRRRSampler`, the serial
+        :class:`RRRSampler`, or a sampling engine the caller owns); its
+        type selects the engine used by
+        :func:`~repro.sampling.sampler.sample_batch`, and a
+        :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`
+        also runs the selections' counting pass.  Defaults to a fresh
+        batched sampler — every engine produces bit-identical
         collections.
     counters:
         Optional work ledger to update.
@@ -180,27 +277,6 @@ def estimate_theta(
         Vertex-interval rank count forwarded to the selection kernel so
         the per-rank work meters in the trace reflect the intended
         parallel decomposition.  Does not affect the selected seeds.
-    workers, start_method:
-        ``workers > 1`` runs the estimation's sampling (and the counting
-        pass of its per-round selections) on a
-        :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`
-        process pool — bit-identical output, real cores.  Results land
-        through the engine's zero-copy shared-memory output arena with
-        adaptive chunk sizing; the doubling rounds start at global
-        sample index 0 on an empty collection, which is exactly the
-        epoch the engine's fused in-worker counters re-arm on.  Ignored
-        when a ``sampler`` is passed explicitly (the caller owns the
-        engine choice then); an internally created engine is closed
-        before returning.
-    supervise, supervisor_opts:
-        ``supervise=True`` makes the internally created engine a
-        self-healing
-        :class:`~repro.sampling.supervisor.SupervisedSamplingEngine`
-        (any worker count, crash replay, optional deadline /
-        checkpointing via ``supervisor_opts``).  A supervised deadline
-        expiry raises
-        :class:`~repro.sampling.supervisor.DeadlineExceededError` with
-        the landed prefix intact in ``collection``.
 
     Raises
     ------
@@ -209,80 +285,14 @@ def estimate_theta(
         or ``eps`` is out of range.
     """
     n = graph.n
-    if n < 2:
-        raise ValueError(f"IMM needs at least 2 vertices, got n={n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    validate_eps(eps)
     model = DiffusionModel.parse(model)
     if collection is None:
         collection = SortedRRRCollection(n)
-    owned_engine = None
     if sampler is None:
-        if workers > 1 or supervise:
-            from ..sampling.supervisor import build_sampling_engine
-
-            owned_engine = build_sampling_engine(
-                graph,
-                model,
-                workers=workers,
-                start_method=start_method,
-                supervise=supervise,
-                supervisor_opts=supervisor_opts,
-            )
-            sampler = owned_engine
-        else:
-            sampler = BatchedRRRSampler(graph, model)
-    try:
-        return _estimate_theta_loop(
-            graph, k, eps, model, seed, l,
-            collection=collection,
-            sampler=sampler,
-            counters=counters,
-            theta_cap=theta_cap,
-            trace=trace,
-            num_ranks=num_ranks,
-        )
-    finally:
-        if owned_engine is not None:
-            owned_engine.close()
-
-
-def _estimate_theta_loop(
-    graph: CSRGraph,
-    k: int,
-    eps: float,
-    model: DiffusionModel,
-    seed: int,
-    l: float,
-    *,
-    collection: RRRCollection,
-    sampler,
-    counters: WorkCounters | None,
-    theta_cap: int | None,
-    trace: list | None,
-    num_ranks: int,
-) -> ThetaEstimate:
-    """The doubling search itself, with sampler/engine already resolved."""
-    from ..sampling import ParallelSamplingEngine
-
-    n = graph.n
+        sampler = BatchedRRRSampler(graph, model)
     count_engine = sampler if isinstance(sampler, ParallelSamplingEngine) else None
-    l_eff = _inflated_l(n, l)
-    eps_p = math.sqrt(2.0) * eps
-    lam_p = lambda_prime(n, k, eps, l_eff)
-    lam_s = lambda_star(n, k, eps, l_eff)
 
-    lb = 1.0
-    history: list[tuple[int, float]] = []
-    rounds = 0
-    max_x = max(1, int(math.ceil(math.log2(n))) - 1)
-    for x in range(1, max_x + 1):
-        rounds += 1
-        y = n / (2.0**x)
-        theta_x = int(math.ceil(lam_p / y))
-        if theta_cap is not None:
-            theta_x = min(theta_x, theta_cap)
+    def cover(theta_x: int, _est: ThetaEstimate) -> tuple[int, int]:
         batch = sample_batch(graph, model, collection, theta_x, seed, sampler=sampler)
         if counters is not None:
             counters.edges_examined += batch.edges_examined
@@ -297,21 +307,8 @@ def _estimate_theta_loop(
             counters.counter_updates += sel.counter_updates
         if trace is not None:
             trace.append(("select", sel))
-        frac = sel.covered_samples / max(len(collection), 1)
-        history.append((theta_x, frac))
-        if n * frac >= (1.0 + eps_p) * y:
-            lb = n * frac / (1.0 + eps_p)
-            break
-        if theta_cap is not None and theta_x >= theta_cap:
-            break
+        return sel.covered_samples, len(collection)
 
-    theta = int(math.ceil(lam_s / lb))
-    if theta_cap is not None:
-        theta = min(theta, theta_cap)
-    return ThetaEstimate(
-        theta=theta,
-        lb=lb,
-        collection=collection,
-        rounds=rounds,
-        coverage_history=history,
-    )
+    est = drain(theta_schedule(n, k, eps, l, cover, theta_cap=theta_cap))
+    est.collection = collection
+    return est

@@ -44,7 +44,6 @@ modeled from per-rank work meters, intra-node OpenMP speedup, and the
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Generator
 
@@ -53,7 +52,7 @@ import numpy as np
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
 from ..imm.result import IMMResult
-from ..imm.theta import _inflated_l, lambda_prime, lambda_star, validate_eps
+from ..imm.theta import ThetaEstimate, shrink_epsilon, theta_schedule
 from ..perf.counters import WorkCounters
 from ..perf.memory import MemoryModel
 from ..perf.timers import PhaseTimer
@@ -81,8 +80,9 @@ class _RankRecord:
 
     seeds: np.ndarray | None = None
     covered: int = 0
-    theta: int = 0
-    lb: float = 1.0
+    #: θ, LB, rounds and the per-round ``(theta_x, covered fraction)``
+    #: history — the diagnostics serial ``imm()`` reports
+    est: ThetaEstimate = field(default_factory=ThetaEstimate)
     local_samples: int = 0
     collection_bytes: int = 0
     edges_total: int = 0
@@ -92,13 +92,8 @@ class _RankRecord:
     cursor: int = 0
     #: per estimation round: (local sampling edges, local selection entries)
     round_meters: list[tuple[int, int]] = field(default_factory=list)
-    #: per estimation round: (theta_x, covered fraction) — the same
-    #: diagnostic the serial driver exposes as ``coverage_history``, so
-    #: Figure-2-style sweeps can run distributed.
-    coverage_history: list[tuple[int, float]] = field(default_factory=list)
     final_sample_edges: int = 0
     final_select_entries: int = 0
-    rounds: int = 0
 
 
 @dataclass
@@ -197,11 +192,6 @@ def _make_rank_program(
 ):
     """Build the SPMD rank program closure for the SPMD runtimes."""
     n = graph.n
-    l_eff = _inflated_l(n, l)
-    eps_p = math.sqrt(2.0) * eps
-    lam_p = lambda_prime(n, k, eps, l_eff)
-    lam_s = lambda_star(n, k, eps, l_eff)
-    max_x = max(1, int(math.ceil(math.log2(n))) - 1)
 
     def program(rank: int, size: int) -> Generator:
         # A (re)started incarnation reports fresh meters: respawn replays
@@ -250,15 +240,15 @@ def _make_rank_program(
                     raise SimulatedOOMError(rank, footprint, mem_limit)
             return edges
 
-        def snapshot(stage: str, round_: int, lb: float, theta: int | None) -> DistCheckpoint:
+        def snapshot(stage: str, est: ThetaEstimate) -> DistCheckpoint:
             return DistCheckpoint(
                 stage=stage,
-                round=round_,
+                round=est.next_x,
                 next_global=next_global,
-                lb=lb,
-                theta=theta,
-                rounds_done=rec.rounds,
-                coverage_history=tuple(rec.coverage_history),
+                lb=est.lb,
+                theta=est.theta if stage == "final" else None,
+                rounds_done=est.rounds,
+                coverage_history=tuple(est.coverage_history),
                 deals=tuple(state.deals),
                 alive=tuple(state.alive),
                 lost_samples=state.lost,
@@ -271,56 +261,45 @@ def _make_rank_program(
                 rng_scheme=rng_scheme,
             )
 
+        def cover(theta_x: int, est: ThetaEstimate) -> Generator:
+            """One estimation round on this rank's slice of the samples."""
+            state.write_checkpoint(rank, snapshot("estimate", est))
+            round_edges = extend_to(theta_x)
+            _, covered_total, entries = yield from _dist_select(collection, n, k)
+            rec.round_meters.append((round_edges, entries))
+            rec.edges_total += round_edges
+            # Fractions are over the *live* sample count: after a shrink,
+            # dead ranks' lost samples are not in anyone's partition, so
+            # θ_x overstates the population.  Fault-free, the live count
+            # is θ_x and histories match serial ``imm()``.
+            return covered_total, live_count(state.deals, state.alive, theta_x)
+
         # --- resume: re-derive the local partition from the cursor alone -
         ck = state.resume
-        lb = 1.0
-        theta: int | None = None
-        start_x = 1
+        est = None
         if ck is not None:
             rec.rebuild_edges = extend_to(ck.next_global)
             rec.edges_total += rec.rebuild_edges
-            lb = ck.lb
-            theta = ck.theta
-            rec.coverage_history = [tuple(h) for h in ck.coverage_history]
-            rec.rounds = ck.rounds_done
-            start_x = ck.round
+            est = ThetaEstimate(
+                theta=ck.theta or 0,
+                lb=ck.lb,
+                rounds=ck.rounds_done,
+                coverage_history=[tuple(h) for h in ck.coverage_history],
+                next_x=ck.round,
+            )
 
-        # --- EstimateTheta (Algorithm 2, replicated control flow) --------
+        # --- EstimateTheta (Algorithm 2, the shared θ schedule) ----------
         if ck is None or ck.stage == "estimate":
             stats.set_phase("EstimateTheta")
-            for x in range(start_x, max_x + 1):
-                state.write_checkpoint(rank, snapshot("estimate", x, lb, None))
-                rec.rounds += 1
-                y = n / (2.0**x)
-                theta_x = int(math.ceil(lam_p / y))
-                if theta_cap is not None:
-                    theta_x = min(theta_x, theta_cap)
-                round_edges = extend_to(theta_x)
-                seeds, covered_total, entries = yield from _dist_select(collection, n, k)
-                rec.round_meters.append((round_edges, entries))
-                rec.edges_total += round_edges
-                # Fractions are over the *live* sample count: after a
-                # shrink, dead ranks' lost samples are not in anyone's
-                # partition, so θ_x overstates the population.  Fault-free,
-                # live_x == theta_x and histories match the serial driver.
-                live_x = live_count(state.deals, state.alive, theta_x)
-                frac = covered_total / max(live_x, 1)
-                rec.coverage_history.append((theta_x, frac))
-                if n * frac >= (1.0 + eps_p) * y:
-                    lb = n * frac / (1.0 + eps_p)
-                    break
-                if theta_cap is not None and theta_x >= theta_cap:
-                    break
-            theta = int(math.ceil(lam_s / lb))
-            if theta_cap is not None:
-                theta = min(theta, theta_cap)
-        assert theta is not None
-        rec.theta, rec.lb = theta, lb
-        state.write_checkpoint(rank, snapshot("final", max_x + 1, lb, theta))
+            est = yield from theta_schedule(
+                n, k, eps, l, cover, theta_cap=theta_cap, resume=est
+            )
+        rec.est = est
+        state.write_checkpoint(rank, snapshot("final", est))
 
         # --- Sample (top-up to θ) -----------------------------------------
         stats.set_phase("Sample")
-        rec.final_sample_edges = extend_to(theta)
+        rec.final_sample_edges = extend_to(est.theta)
         rec.edges_total += rec.final_sample_edges
 
         # --- SelectSeeds ----------------------------------------------------
@@ -413,7 +392,6 @@ def imm_dist(
             "shrink recovery requires the per-sample rng_scheme: leap-frog "
             "substreams are bound to ranks and cannot be re-dealt"
         )
-    validate_eps(eps)
     model = DiffusionModel.parse(model)
     if isinstance(fault_plan, str):
         fault_plan = FaultPlan.parse(fault_plan)
@@ -507,7 +485,7 @@ def imm_dist(
         return local + argmax + t_sel_comm
 
     sim = PhaseTimer()
-    rounds = max(rec.rounds for rec in records)
+    rounds = max(rec.est.rounds for rec in records)
     for i in range(rounds):
         round_edges = [
             rec.round_meters[i][0] if i < len(rec.round_meters) else 0
@@ -554,16 +532,9 @@ def imm_dist(
 
     first_alive = state.alive[0]
     rec0 = records[first_alive]
-    theta_eff = live_count(state.deals, state.alive, rec0.theta)
-    degraded = theta_eff < rec0.theta
-    if degraded:
-        # λ* scales as 1/ε² at fixed (n, k, l), so the ε the surviving
-        # θ_eff·LB sample budget still certifies inverts in closed form.
-        eps_eff = math.sqrt(
-            lambda_star(n, k, 1.0, _inflated_l(n, l)) / max(theta_eff * rec0.lb, 1.0)
-        )
-    else:
-        eps_eff = eps
+    theta_eff = live_count(state.deals, state.alive, rec0.est.theta)
+    degraded = theta_eff < rec0.est.theta
+    eps_eff = shrink_epsilon(n, k, l, theta_eff, rec0.est.lb) if degraded else eps
 
     counters = WorkCounters(
         edges_examined=sum(rec.edges_total for rec in records),
@@ -586,10 +557,10 @@ def imm_dist(
         epsilon=eps,
         model=model.value,
         layout="sorted",
-        theta=rec0.theta,
+        theta=rec0.est.theta,
         num_samples=sum(rec.local_samples for rec in records),
         coverage=rec0.covered / max(theta_eff, 1),
-        lb=rec0.lb,
+        lb=rec0.est.lb,
         breakdown=sim.breakdown(),
         counters=counters,
         memory_bytes=max(rec.collection_bytes for rec in records),
@@ -605,13 +576,13 @@ def imm_dist(
             "comm_by_label": comm_stats.label_totals(),
             "measured_breakdown": wall.breakdown(),
             "per_rank_samples": [rec.local_samples for rec in records],
-            "estimation_rounds": rec0.rounds,
-            "coverage_history": rec0.coverage_history,
-            "theta_capped": theta_cap is not None and rec0.theta >= theta_cap,
+            "estimation_rounds": rec0.est.rounds,
+            "coverage_history": rec0.est.coverage_history,
+            "theta_capped": theta_cap is not None and rec0.est.theta >= theta_cap,
             "policy": policy,
             "degraded": degraded,
             "theta_effective": theta_eff,
-            "lost_samples": rec0.theta - theta_eff,
+            "lost_samples": rec0.est.theta - theta_eff,
             "epsilon_effective": eps_eff,
             "alive_ranks": list(state.alive),
             "rng_cursor": rec0.cursor,

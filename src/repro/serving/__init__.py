@@ -10,8 +10,8 @@ what-if seed sets — should pay it once.  This subpackage provides:
   (:mod:`repro.serving.frozen`).
 * :class:`InfluenceQueryEngine` — ``top_k`` / ``marginal_gain`` /
   ``what_if`` / ``tighten`` served from the mapped bytes via CELF lazy
-  re-selection, bit-identical to a fresh ``imm()`` run by replaying the
-  θ-estimation control flow over index prefixes
+  re-selection, bit-identical to a fresh ``imm()`` run by running its
+  θ schedule over index prefixes
   (:mod:`repro.serving.query`).
 * :class:`IndexCache` — a concurrency-safe LRU of open
   per-``(graph, model, eps)`` indices with refcounted leases
@@ -32,6 +32,7 @@ CLI: ``repro-imm freeze`` / ``repro-imm query`` / ``repro-imm serve``
 (``--replicas N`` switches the serve driver onto the cluster router).
 """
 
+from ..imm import shrink_epsilon
 from .cache import IndexCache
 from .cluster import ClusterRouter, ClusterStats, ReplicaUnreachableError
 from .errors import (
@@ -47,7 +48,6 @@ from .frontend import (
     FrontendStats,
     ServingFrontend,
     ewma_update,
-    shrink_epsilon,
 )
 from .frozen import (
     COMPRESSED_ENCODING_VERSION,

@@ -59,6 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..imm import shrink_epsilon
 from ..mpi.faults import FaultPlan
 from .cache import IndexCache
 from .errors import AdmissionRejected, ClusterUnavailable, ServingFrontendError
@@ -67,7 +68,6 @@ from .frontend import (
     DegradedServingResult,
     ServingFrontend,
     ewma_update,
-    shrink_epsilon,
 )
 from .frozen import _MANIFEST
 from .query import MarginalGains, ServingResult

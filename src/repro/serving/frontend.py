@@ -31,10 +31,9 @@ beyond the frozen prefix but the extension cannot run (no deadline
 budget, breaker open, no graph attached, or the attempt itself crashed),
 the front end answers from the prefix it has and says so: a typed
 :class:`DegradedServingResult` whose ``theta_effective`` is the frozen
-sample count and whose ``epsilon_effective`` is recomputed by the same
-shrink arithmetic the distributed runtime uses (λ* scales as 1/ε², so
-the ε certified by the surviving ``θ_eff · LB`` budget inverts in closed
-form).  Every response is therefore either bit-identical to a fresh
+sample count and whose ``epsilon_effective`` is the ε the surviving
+``θ_eff · LB`` budget certifies (:func:`~repro.imm.theta.shrink_epsilon`,
+the inversion every degraded path uses).  Every response is therefore either bit-identical to a fresh
 ``imm()`` or explicitly degraded — never silently wrong.
 
 **Fault injection.**  The ``FaultPlan`` grammar drives serving faults
@@ -48,14 +47,13 @@ graph and asserts the response contract above.
 from __future__ import annotations
 
 import asyncio
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..imm.theta import _inflated_l, lambda_star
+from ..imm import shrink_epsilon
 from ..mpi.faults import FaultPlan
 from .cache import IndexCache
 from .errors import AdmissionRejected, QueryDeadlineExceeded
@@ -67,7 +65,6 @@ __all__ = [
     "DegradedServingResult",
     "CircuitBreaker",
     "FrontendStats",
-    "shrink_epsilon",
     "ewma_update",
 ]
 
@@ -88,28 +85,15 @@ def ewma_update(
     return sample if prev is None else alpha * prev + (1.0 - alpha) * sample
 
 
-def shrink_epsilon(n: int, k: int, l: float, theta_effective: int, lb: float) -> float:
-    """The ε certified by a ``theta_effective · lb`` sample budget.
-
-    Exactly the arithmetic of the MPI shrink policy and the supervised
-    deadline path (``repro.imm.imm._degraded_result``): λ*(n, k, ε, l)
-    scales as 1/ε² at fixed ``(n, k, l)``, so the ε a surviving budget
-    certifies inverts in closed form.
-    """
-    return math.sqrt(
-        lambda_star(n, k, 1.0, _inflated_l(n, l))
-        / max(theta_effective * lb, 1.0)
-    )
-
-
 @dataclass
 class DegradedServingResult(ServingResult):
     """A typed, honest partial answer from the frozen prefix.
 
     ``theta_effective`` is the sample count actually selected over;
     ``epsilon_effective`` the guarantee that budget certifies via
-    :func:`shrink_epsilon`; ``theta`` keeps the θ the query *wanted*
-    (when known), so ``theta - theta_effective`` is the shortfall.
+    :func:`~repro.imm.theta.shrink_epsilon`; ``theta`` keeps the θ the
+    query *wanted* (when known), so ``theta - theta_effective`` is the
+    shortfall.
     """
 
     theta_effective: int = 0

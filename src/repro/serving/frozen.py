@@ -54,6 +54,7 @@ import hashlib
 import json
 import os
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -170,14 +171,12 @@ class FrozenRRRIndex:
     def __init__(self, path: Path, manifest: dict) -> None:
         self.path = Path(path)
         self.manifest = manifest
-        self._flat: np.ndarray | None = None
-        self._sizes: np.ndarray | None = None
-        self._edges: np.ndarray | None = None
-        self._indptr: np.ndarray | None = None
-        self._sample_of: np.ndarray | None = None
-        self._coded: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
-        self._perm: np.ndarray | None = None
+        # Everything mapped from the files, as ONE attribute: queries read
+        # it from worker threads while an extension re-maps, and a single
+        # attribute write is atomic where several can be observed
+        # half-done (a new ``indptr`` beside an old, shorter
+        # ``sample_of``).  ``None`` once closed.
+        self._mapping: _Mapping | None = None
 
     # -- identity / facts --------------------------------------------------
 
@@ -454,61 +453,49 @@ class FrozenRRRIndex:
                 "range — the index was frozen with a different seed or count"
             )
 
+    def _section(self, name: str, dtype, count: int) -> np.ndarray:
+        if not count:
+            return np.empty(0, dtype=dtype)
+        return np.memmap(self.path / name, dtype=dtype, mode="r", shape=(count,))
+
     def _map(self) -> None:
+        """Map the files the manifest certifies and publish them at once."""
         num, entries = self.num_samples, self.entries
-        if self.layout == "compressed":
-            coded_bytes = int(self.manifest["coded_bytes"])
-            if coded_bytes:
-                self._coded = np.memmap(
-                    self.path / _CODED, dtype=np.uint8, mode="r",
-                    shape=(coded_bytes,),
-                )
-            else:
-                self._coded = np.empty(0, dtype=np.uint8)
-            if num:
-                self._offsets = np.memmap(
-                    self.path / _OFFSETS, dtype=np.int64, mode="r",
-                    shape=(num,),
-                )
-            else:
-                self._offsets = np.empty(0, dtype=np.int64)
-            if self.n:
-                self._perm = np.memmap(
-                    self.path / _PERM, dtype=np.int64, mode="r",
-                    shape=(self.n,),
-                )
-            else:
-                self._perm = np.empty(0, dtype=np.int64)
-            # The flat incidence array is decoded lazily on first read
-            # (arrays()); resident until then: just the coded section.
-            self._flat = None
-        elif entries:
-            self._flat = np.memmap(
-                self.path / _FLAT, dtype=np.int32, mode="r", shape=(entries,)
-            )
-        else:
-            self._flat = np.empty(0, dtype=np.int32)
-        if num:
-            self._sizes = np.memmap(
-                self.path / _SIZES, dtype=np.int64, mode="r", shape=(num,)
-            )
-            self._edges = np.memmap(
-                self.path / _EDGES, dtype=np.int64, mode="r", shape=(num,)
-            )
-        else:
-            self._sizes = np.empty(0, dtype=np.int64)
-            self._edges = np.empty(0, dtype=np.int64)
+        sizes = self._section(_SIZES, np.int64, num)
         indptr = np.zeros(num + 1, dtype=np.int64)
-        np.cumsum(self._sizes, out=indptr[1:])
+        np.cumsum(sizes, out=indptr[1:])
         if int(indptr[-1]) != entries:
             raise FrozenIndexError(
                 f"sizes sum to {int(indptr[-1])} entries, manifest "
                 f"certifies {entries}"
             )
-        self._indptr = indptr
-        self._sample_of = np.repeat(
-            np.arange(num, dtype=np.int64), np.asarray(self._sizes)
+        mapping = _Mapping(
+            indptr=indptr,
+            sample_of=np.repeat(np.arange(num, dtype=np.int64), np.asarray(sizes)),
+            sizes=sizes,
+            edges=self._section(_EDGES, np.int64, num),
         )
+        if self.layout == "compressed":
+            # The flat incidence array is decoded lazily on first read
+            # (arrays()); resident until then: just the coded section.
+            mapping.coded = self._section(
+                _CODED, np.uint8, int(self.manifest["coded_bytes"])
+            )
+            mapping.offsets = self._section(_OFFSETS, np.int64, num)
+            mapping.perm = self._section(_PERM, np.int64, self.n)
+        else:
+            mapping.flat = self._section(_FLAT, np.int32, entries)
+        self._mapping = mapping
+
+    def _mapped(self) -> "_Mapping":
+        mapping = self._mapping
+        if mapping is None:
+            raise FrozenIndexError("index is closed")
+        return mapping
+
+    @property
+    def closed(self) -> bool:
+        return self._mapping is None
 
     # -- reads -------------------------------------------------------------
 
@@ -516,41 +503,35 @@ class FrozenRRRIndex:
         """``(flat, indptr, sample_of)`` — flat is the raw memmap for a
         flat index; a compressed index decodes its coded section into an
         identical int32 array once, lazily, and caches it (the query
-        engine on top is therefore layout-blind and bit-identical)."""
-        if self._indptr is None:
-            raise FrozenIndexError("index is closed")
-        if self._flat is None:
-            self._flat = self._decode_flat()
-        return self._flat, self._indptr, self._sample_of
+        engine on top is therefore layout-blind and bit-identical).  The
+        three always come from one mapping, so they agree in length."""
+        mapping = self._mapped()
+        if mapping.flat is None:
+            mapping.flat = self._decode_flat(mapping)
+        return mapping.flat, mapping.indptr, mapping.sample_of
 
-    def _decode_flat(self) -> np.ndarray:
+    def _decode_flat(self, mapping: "_Mapping") -> np.ndarray:
         """Decode the compressed section to the exact bytes the flat
         layout would have written: int32, id-sorted within each sample."""
-        num, entries = self.num_samples, self.entries
+        num, entries = len(mapping.sizes), len(mapping.sample_of)
         if num == 0:
             return np.empty(0, dtype=np.int32)
+        perm = np.asarray(mapping.perm)
         coll = CompressedRRRCollection.from_stream(
-            self.n,
-            self._coded,
-            self._offsets,
-            np.asarray(self._perm),
-            entries=entries,
+            self.n, mapping.coded, mapping.offsets, perm, entries=entries
         )
         ranks, counts = coll.parse_stream()
-        if not np.array_equal(counts, np.asarray(self._sizes)):
+        if not np.array_equal(counts, np.asarray(mapping.sizes)):
             raise FrozenIndexError(
                 "compressed section decodes to per-sample counts that "
                 "disagree with sizes.i64.bin — index is torn or corrupt"
             )
-        verts = np.asarray(self._perm)[ranks]
-        keys = self._sample_of * max(self.n, 1) + verts
+        keys = mapping.sample_of * max(self.n, 1) + perm[ranks]
         keys.sort()
         return np.ascontiguousarray(keys % max(self.n, 1), dtype=np.int32)
 
     def per_sample_edges(self) -> np.ndarray:
-        if self._edges is None:
-            raise FrozenIndexError("index is closed")
-        return self._edges
+        return self._mapped().edges
 
     def collection_view(self, num_samples: int | None = None) -> FrozenCollectionView:
         """A read-only collection over the first ``num_samples`` samples
@@ -584,8 +565,7 @@ class FrozenRRRIndex:
         manifest moves, write-ahead style, so a crash mid-extend leaves
         a prefix the old manifest still certifies exactly.
         """
-        if self._indptr is None:
-            raise FrozenIndexError("index is closed")
+        perm = self._mapped().perm
         if int(start) != self.num_samples:
             raise FrozenIndexError(
                 f"extension must start at the sealed sample count "
@@ -604,7 +584,7 @@ class FrozenRRRIndex:
             # Re-encode only the appended samples under the pinned
             # permutation; the sealed coded bytes are never rewritten.
             packer = CompressedRRRCollection(self.n)
-            packer.adopt_permutation(np.asarray(self._perm))
+            packer.adopt_permutation(np.asarray(perm))
             packer.append_batch(
                 flat32.astype(np.int64), sizes, total=len(flat32)
             )
@@ -651,17 +631,29 @@ class FrozenRRRIndex:
 
     def close(self) -> None:
         """Drop the memmaps (idempotent); the on-disk index survives."""
-        for name in (
-            "_flat", "_sizes", "_edges", "_indptr", "_sample_of",
-            "_coded", "_offsets", "_perm",
-        ):
-            setattr(self, name, None)
+        self._mapping = None
 
     def __enter__(self) -> "FrozenRRRIndex":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+@dataclass
+class _Mapping:
+    """The arrays of one mapping of an index, built together."""
+
+    indptr: np.ndarray
+    sample_of: np.ndarray
+    sizes: np.ndarray
+    edges: np.ndarray
+    #: the incidence array; ``None`` until a compressed section is decoded
+    flat: np.ndarray | None = None
+    #: the compressed section (compressed layout only)
+    coded: np.ndarray | None = None
+    offsets: np.ndarray | None = None
+    perm: np.ndarray | None = None
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:

@@ -12,7 +12,8 @@ deterministic function of its arguments: the θ-estimation doubling
 search selects over the *first* ``θ_x`` samples each round, accepts at
 some coverage, and the final selection runs over ``max(θ_x_last, θ)``
 samples — where sample ``j`` is itself a pure function of ``(graph,
-model, seed, j)``.  The engine therefore replays that exact control flow
+model, seed, j)``.  The engine therefore runs the same θ schedule
+(:func:`~repro.imm.theta.theta_schedule`, the one loop ``imm()`` runs)
 against *prefix views* of the frozen collection: every per-round
 selection happens over the same samples the fresh run would have drawn,
 so the answer is bit-identical for **any** ``(k, eps)`` — not just the
@@ -36,7 +37,6 @@ against :func:`~repro.imm.select.select_seeds_sorted` directly.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,13 +45,7 @@ import numpy as np
 
 from ..diffusion import DiffusionModel
 from ..imm.select import select_seeds
-from ..imm.theta import (
-    _inflated_l,
-    estimate_theta,
-    lambda_prime,
-    lambda_star,
-    validate_eps,
-)
+from ..imm.theta import drain, estimate_theta, theta_schedule
 from ..sampling import BatchedRRRSampler, SortedRRRCollection, sample_batch
 from .frozen import FrozenIndexError, FrozenRRRIndex
 
@@ -385,75 +379,6 @@ class InfluenceQueryEngine:
                 alive[killed] = False
         return np.asarray(seeds, dtype=np.int64), covered
 
-    # -- the estimation replay ---------------------------------------------
-
-    def _replay(self, k: int, eps: float, *, allow_extend: bool) -> dict:
-        """Replay ``imm``'s θ-estimation + final selection over prefixes.
-
-        Mirrors :func:`repro.imm.theta._estimate_theta_loop` exactly —
-        same constants, same acceptance test, same cap semantics — with
-        the sampling calls replaced by index-prefix materialization.
-        Keeping the two in lockstep is what the serving oracle's
-        bit-identity axis checks on every registry graph.
-        """
-        idx = self.index
-        n = idx.n
-        if n < 2:
-            raise ValueError(f"IMM needs at least 2 vertices, got n={n}")
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        validate_eps(eps)
-        l = float(idx.manifest["l"])
-        cap = idx.manifest.get("theta_cap")
-        l_eff = _inflated_l(n, l)
-        eps_p = math.sqrt(2.0) * eps
-        lam_p = lambda_prime(n, k, eps, l_eff)
-        lam_s = lambda_star(n, k, eps, l_eff)
-
-        lb = 1.0
-        history: list[tuple[int, float]] = []
-        rounds = 0
-        added = edges = 0
-        theta_x = 0
-        max_x = max(1, int(math.ceil(math.log2(n))) - 1)
-        for x in range(1, max_x + 1):
-            rounds += 1
-            y = n / (2.0**x)
-            theta_x = int(math.ceil(lam_p / y))
-            if cap is not None:
-                theta_x = min(theta_x, cap)
-            a, e = self._ensure_samples(theta_x, allow_extend)
-            added += a
-            edges += e
-            _, covered = self._celf_select(theta_x, k)
-            frac = covered / max(theta_x, 1)
-            history.append((theta_x, frac))
-            if n * frac >= (1.0 + eps_p) * y:
-                lb = n * frac / (1.0 + eps_p)
-                break
-            if cap is not None and theta_x >= cap:
-                break
-
-        theta = int(math.ceil(lam_s / lb))
-        if cap is not None:
-            theta = min(theta, cap)
-        num_used = max(theta_x, theta)
-        a, e = self._ensure_samples(num_used, allow_extend)
-        added += a
-        edges += e
-        seeds, covered = self._celf_select(num_used, k)
-        return {
-            "seeds": seeds,
-            "theta": theta,
-            "lb": lb,
-            "rounds": rounds,
-            "history": history,
-            "num_used": num_used,
-            "covered": covered,
-            "added": added,
-            "edges": edges,
-        }
-
     # -- queries -----------------------------------------------------------
 
     def top_k(
@@ -465,9 +390,10 @@ class InfluenceQueryEngine:
     ) -> ServingResult:
         """The ``k`` best seeds, bit-identical to ``imm(graph, k, eps)``.
 
-        Defaults to the frozen ``(k, eps)``; any other pair replays the
-        estimation over index prefixes, extending the tail only when the
-        new pair genuinely demands more samples (requires ``graph``).
+        Defaults to the frozen ``(k, eps)``; any other pair runs ``imm``'s
+        θ schedule (:func:`~repro.imm.theta.theta_schedule`) over index
+        prefixes, extending the tail only when the new pair genuinely
+        demands more samples (requires ``graph``).
         ``allow_extend=False`` forbids extension even with a graph
         attached — the front end uses it to keep in-prefix queries out of
         the single-writer bulkhead; an out-of-prefix query then raises
@@ -480,21 +406,40 @@ class InfluenceQueryEngine:
         before = self.index.num_samples
         if allow_extend is None:
             allow_extend = self.graph is not None
-        r = self._replay(k, eps, allow_extend=allow_extend)
+        added = edges = 0
+
+        def ensure(target: int) -> None:
+            nonlocal added, edges
+            a, e = self._ensure_samples(target, allow_extend)
+            added += a
+            edges += e
+
+        def cover(theta_x: int, _est) -> tuple[int, int]:
+            ensure(theta_x)
+            return self._celf_select(theta_x, k)[1], theta_x
+
+        est = drain(theta_schedule(
+            self.index.n, k, eps, float(mf["l"]), cover,
+            theta_cap=mf.get("theta_cap"),
+        ))
+        # The final selection runs over max(θ_x of the last round, θ).
+        num_used = max(est.coverage_history[-1][0], est.theta)
+        ensure(num_used)
+        seeds, covered = self._celf_select(num_used, k)
         return ServingResult(
-            seeds=r["seeds"],
+            seeds=seeds,
             k=k,
             epsilon=eps,
             model=self.index.model,
-            theta=r["theta"],
-            num_samples_used=r["num_used"],
-            coverage=r["covered"] / max(r["num_used"], 1),
-            lb=r["lb"],
-            estimation_rounds=r["rounds"],
-            coverage_history=r["history"],
-            samples_added=r["added"],
-            samples_reused=min(before, r["num_used"]),
-            edges_examined=r["edges"],
+            theta=est.theta,
+            num_samples_used=num_used,
+            coverage=covered / max(num_used, 1),
+            lb=est.lb,
+            estimation_rounds=est.rounds,
+            coverage_history=est.coverage_history,
+            samples_added=added,
+            samples_reused=min(before, num_used),
+            edges_examined=edges,
             seconds=time.perf_counter() - t0,
         )
 

@@ -51,6 +51,7 @@ from .recovery import (
 )
 from .report import ValidationReport, Violation
 from .rnglaws import check_counter_streams, check_leapfrog_tiling, check_rng_laws
+from .schedule import check_theta_schedule
 from .serving import (
     check_compressed_serving,
     check_index_bitwise,
@@ -90,6 +91,7 @@ __all__ = [
     "check_index_bitwise",
     "check_frontend_equivalence",
     "check_cluster_equivalence",
+    "check_theta_schedule",
     "MutantResult",
     "run_mutation_suite",
     "SMOKE_MUTANTS",

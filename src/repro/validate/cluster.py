@@ -24,7 +24,7 @@ Axes:
 * **unavailable-honesty** — every replica down: a selection query is
   answered from the stale local prefix as a typed
   :class:`DegradedServingResult` whose ``epsilon_effective`` equals
-  :func:`~repro.serving.shrink_epsilon` exactly (the detector the
+  :func:`~repro.imm.shrink_epsilon` exactly (the detector the
   ``cluster-unavailable-served-as-fresh`` mutant must trip), and a
   pure read is refused with a typed retry-after.
 * **single-writer** — extension traffic through the router lands
@@ -41,14 +41,13 @@ from pathlib import Path
 
 import numpy as np
 
-from ..imm import imm
+from ..imm import imm, shrink_epsilon
 from ..serving import (
     ClusterRouter,
     ClusterUnavailable,
     DegradedServingResult,
     FrozenRRRIndex,
     freeze_index,
-    shrink_epsilon,
 )
 from .report import ValidationReport
 

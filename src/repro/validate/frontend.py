@@ -18,7 +18,7 @@ wrong, never an unbounded pileup.  Axes:
   admitted + rejected accounts for every submission.
 * **degraded-honesty** — an out-of-prefix query that cannot extend
   (no graph) returns a typed degraded result whose
-  ``epsilon_effective`` equals :func:`~repro.serving.shrink_epsilon`
+  ``epsilon_effective`` equals :func:`~repro.imm.shrink_epsilon`
   exactly and whose seeds equal the full-prefix selection (the
   detector the ``degraded-result-reports-full-epsilon`` mutant must
   trip).
@@ -42,13 +42,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..imm import imm
+from ..imm import imm, shrink_epsilon
 from ..serving import (
     AdmissionRejected,
     DegradedServingResult,
     ServingFrontend,
     freeze_index,
-    shrink_epsilon,
 )
 from .report import ValidationReport
 

@@ -36,6 +36,7 @@ rank perm not inverted      ``collection.compressed-decode`` invariant
 counting skips cont. byte   ``collection.compressed-counters`` invariant
 stale served as fresh       ``cluster.unavailable-honesty``
 failover hedges a write     ``cluster.single-writer``
+θ schedule uses raw ℓ       ``theta.closed-form``
 ==========================  ==========================================
 
 The corruption is applied *behind* the append-time validation (directly
@@ -70,6 +71,7 @@ from .invariants import (
     check_sorted_collection,
 )
 from .recovery import check_degraded_accounting, check_rebuild_fidelity
+from .schedule import check_theta_schedule
 from .serving import check_index_bitwise, check_index_graph_binding
 from .supervision import check_supervised_sampling
 
@@ -803,6 +805,29 @@ def _mutant_hedge_writes(seed: int) -> MutantResult:
     )
 
 
+def _mutant_uninflated_l(seed: int) -> MutantResult:
+    """The shared θ schedule computes λ′ and λ* with ``l``, not the
+    union-bound-inflated ``l_eff``.  Every IMM path runs that loop, so all
+    agree on the too-small θ; only the independent closed forms of
+    ``theta.closed-form`` can see it.  Needs no sampling."""
+    from ..imm import theta as theta_mod
+
+    inflated = theta_mod._inflated_l
+    theta_mod._inflated_l = lambda n, l: l
+    try:
+        detected, evidence = _violated(
+            check_theta_schedule("mutant"), "theta.closed-form"
+        )
+    finally:
+        theta_mod._inflated_l = inflated
+    return MutantResult(
+        "theta-schedule-uses-uninflated-l",
+        "λ′/λ* of the shared doubling search computed with l, not l_eff",
+        detected,
+        evidence,
+    )
+
+
 _MUTANTS = {
     "unsorted-sample": _mutant_unsorted,
     "within-sample-duplicate": _mutant_duplicate,
@@ -830,6 +855,7 @@ _MUTANTS = {
     "failover-double-dispatches-extension": _mutant_hedge_writes,
     "compressed-rank-permutation-not-inverted-on-decode": _mutant_compressed_identity,
     "compressed-counting-skips-continuation-byte": _mutant_compressed_continuation,
+    "theta-schedule-uses-uninflated-l": _mutant_uninflated_l,
 }
 
 #: The cheap subset tier-1 CI runs on every commit (sub-second each):
@@ -841,6 +867,7 @@ SMOKE_MUTANTS = (
     "recovery-skips-sample",
     "wrong-stream-replay",
     "double-count-after-shrink",
+    "theta-schedule-uses-uninflated-l",
 )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph import path_graph
 from repro.imm import imm
 from repro.mpi import SimulatedOOMError, imm_dist
 from repro.mpi.costmodel import allreduce_seconds, collective_seconds
@@ -79,8 +80,8 @@ class TestIMMDist:
             assert len(dist.extra["coverage_history"]) == dist.extra["estimation_rounds"]
 
     def test_eps_beyond_guarantee_rejected(self, ba_graph):
-        """imm_dist replicates Algorithm 2 without calling estimate_theta,
-        so it must apply the same eps validation itself."""
+        """imm_dist runs the shared θ schedule, so it rejects the eps
+        values imm() rejects."""
         with pytest.raises(ValueError, match="1 - 1/e"):
             imm_dist(ba_graph, k=5, eps=0.7, num_nodes=2)
 
@@ -124,6 +125,12 @@ class TestIMMDist:
             imm_dist(ba_graph, k=5, eps=0.5, num_nodes=2, rng_scheme="magic")
         with pytest.raises(ValueError):
             imm_dist(ba_graph, k=5, eps=0.5, num_nodes=2, threads_per_node=999)
+        # The instance checks imm() applies: k=0 used to sample a full θ
+        # and return no seeds, a 1-vertex graph to divide by ln(1) = 0.
+        with pytest.raises(ValueError, match="1 <= k <= n"):
+            imm_dist(ba_graph, k=0, eps=0.5, num_nodes=2)
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            imm_dist(path_graph(1), k=1, eps=0.5, num_nodes=2)
 
     def test_ranks_reported_as_total_threads(self, ba_graph):
         dist = imm_dist(

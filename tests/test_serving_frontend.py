@@ -516,8 +516,8 @@ class TestIndexCache:
         with cache.lease(path_a) as ea:
             with cache.lease(path_b) as eb:
                 # both stay mapped despite capacity 1:
-                assert ea.index._flat is not None
-                assert eb.index._flat is not None
+                assert not ea.index.closed
+                assert not eb.index.closed
                 assert len(cache) == 2
         cache.close()
 
@@ -529,8 +529,8 @@ class TestIndexCache:
             # still queryable mid-lease — close is deferred:
             r = eng.what_if(K)
             assert np.array_equal(r.seeds, res.seeds)
-            assert eng.index._flat is not None
-        assert eng.index._flat is None  # last lease out: now closed
+            assert not eng.index.closed
+        assert eng.index.closed  # last lease out: now closed
         cache.close()
 
     def test_republish_behind_engine_retires_it(self, ba_graph, uncapped, tmp_path):
@@ -549,8 +549,8 @@ class TestIndexCache:
         new = cache.engine(path)
         assert new is not old
         assert cache.misses == 2
-        assert old.index._flat is None  # unpinned: retired and closed
-        assert new.index._flat is not None
+        assert old.index.closed  # unpinned: retired and closed
+        assert not new.index.closed
         cache.close()
 
 

@@ -215,6 +215,54 @@ class TestExtend:
         with FrozenRRRIndex.open(tmp_path / "idx", graph=ba_graph) as back:
             assert back.num_samples == THETA + 20
 
+    @pytest.mark.parametrize("layout", ["flat", "compressed"])
+    def test_read_during_remap_sees_one_snapshot(
+        self, ba_graph, tmp_path, monkeypatch, layout
+    ):
+        """A query thread calling ``arrays()`` while an extension re-maps
+        must get flat/indptr/sample_of from the same mapping (a torn read
+        made ``marginal_gain`` index past the end of ``sample_of``)."""
+        from repro.serving import frozen as frozen_mod
+
+        coll, batch = _sampled(ba_graph)
+        index = _freeze(ba_graph, coll, batch, tmp_path / "idx", layout=layout)
+        full = SortedRRRCollection(ba_graph.n)
+        full_batch = sample_batch(ba_graph, "IC", full, THETA + 20, SEED)
+        f_flat, f_indptr, _ = full.flattened()
+        seen = []
+
+        class _NumpyReadingMidRemap:
+            """``np`` for the frozen module; ``np.repeat`` (the
+            ``sample_of`` build inside ``_map``) first reads like a
+            concurrent query would."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def repeat(self, *args, **kwargs):
+                if not seen:
+                    seen.append(index.arrays())
+                return np.repeat(*args, **kwargs)
+
+        try:
+            index.arrays()  # decode a compressed section before the race
+            monkeypatch.setattr(frozen_mod, "np", _NumpyReadingMidRemap())
+            index.extend(
+                f_flat[f_indptr[THETA]:].astype(np.int32),
+                np.diff(f_indptr)[THETA:],
+                full_batch.per_sample_edges[THETA:],
+                start=THETA,
+            )
+            monkeypatch.undo()
+            assert seen, "the reader never ran inside the re-map"
+            flat, indptr, sample_of = seen[0]
+            assert len(sample_of) == int(indptr[-1]) == len(flat)
+            flat, indptr, sample_of = index.arrays()
+            assert len(sample_of) == int(indptr[-1]) == len(flat) == len(f_flat)
+            assert np.array_equal(np.asarray(flat), f_flat)
+        finally:
+            index.close()
+
     def test_extend_must_start_at_sealed_count(self, ba_graph, tmp_path):
         coll, batch = _sampled(ba_graph)
         index = _freeze(ba_graph, coll, batch, tmp_path / "idx")

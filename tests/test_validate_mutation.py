@@ -39,6 +39,7 @@ EXPECTED_MUTANTS = {
     "compressed-counting-skips-continuation-byte",
     "cluster-unavailable-served-as-fresh",
     "failover-double-dispatches-extension",
+    "theta-schedule-uses-uninflated-l",
 }
 
 
