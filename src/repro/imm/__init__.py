@@ -19,7 +19,7 @@ and reuse the kernels defined here.
 
 from .imm import imm
 from .result import DegradedResult, IMMResult
-from .select import SelectionResult, select_seeds, select_seeds_hypergraph, select_seeds_sorted
+from .select import SelectionResult, select_seeds
 from .sweep import imm_sweep
 from .theta import (
     EPS_UPPER_BOUND,
@@ -46,7 +46,5 @@ __all__ = [
     "shrink_epsilon",
     "theta_schedule",
     "select_seeds",
-    "select_seeds_sorted",
-    "select_seeds_hypergraph",
     "SelectionResult",
 ]

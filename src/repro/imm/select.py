@@ -4,29 +4,40 @@ The selection is the classic greedy max-cover: ``k`` iterations, each
 picking the vertex contained in the most *alive* samples, then killing
 (covering) every sample that contains it and decrementing the membership
 counters of all their vertices.  Ties break toward the smallest vertex
-id in every implementation here, so the two layouts and all parallel
-variants produce identical seed sets (a cross-checked invariant).
+id.
 
-Two implementations:
+The loop exists once, as the generator :func:`greedy_cover`.  It yields
+every ``n``-length count vector it is about to apply (the initial
+membership counts, then each iteration's decrement) and applies the
+vector sent back: a local caller returns it unchanged
+(:func:`run_local`), :func:`repro.mpi.imm_dist` returns its All-Reduced
+sum over ranks.  The layouts differ only in the *cover index* they hand
+the kernel — which samples contain a vertex (``hits_of``) and which
+vertices a set of killed samples holds (``members_of``):
 
-* :func:`select_seeds_sorted` — over the one-directional sorted layout.
-  It follows the paper's scheme: a per-vertex counter array, a first
-  counting pass over all samples, and per-iteration purges.  The
-  ``num_ranks`` argument reproduces the synchronization-free work
-  partitioning of Algorithm 4 (thread ``t`` owns the vertex interval
-  ``[n·t/p, n·(t+1)/p)``) for the shared-memory cost model: the returned
-  per-rank meters say how many counter updates each rank performed, and
-  how many binary searches it used to locate its interval inside each
-  sorted sample.
+* :class:`FlatCover` — flat incidence arrays ``(flat, indptr,
+  sample_of)``: the sorted layout, frozen serving prefixes and
+  ``imm_dist`` partitions.  One stable argsort groups the entries by
+  vertex.
+* :class:`CompressedCover` — the coded stream, parsed once per selection
+  (HBMax-style); one key sort groups the parsed entries by rank.
+* :class:`HypergraphCover` — the bidirectional reference layout's own
+  vertex→samples inverted index, the way Tang et al.'s code selects.
 
-* :func:`select_seeds_hypergraph` — over the bidirectional reference
-  layout, using the vertex→samples inverted index the way Tang et al.'s
-  code does.
+Every sample is killed at most once, so the work meters are a function
+of the final covered mask; :func:`meter` computes them after the loop.
+``num_ranks`` reproduces the synchronization-free work partitioning of
+Algorithm 4 (thread ``t`` owns the vertex interval ``[n·t/p,
+n·(t+1)/p)``) for the shared-memory cost model: the per-rank meters say
+how many counter updates each rank performed, and how many binary
+searches it used to locate its interval inside each sorted sample.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
+from typing import Generator
 
 import numpy as np
 
@@ -35,14 +46,17 @@ from ..sampling.collection import (
     RRRCollection,
     SortedRRRCollection,
 )
-from ..sampling.compressed import CompressedRRRCollection
+from ..sampling.compressed import CompressedRRRCollection, _concat_ranges
 
 __all__ = [
     "SelectionResult",
     "select_seeds",
-    "select_seeds_sorted",
-    "select_seeds_hypergraph",
-    "select_seeds_compressed",
+    "greedy_cover",
+    "run_local",
+    "meter",
+    "FlatCover",
+    "CompressedCover",
+    "HypergraphCover",
 ]
 
 
@@ -92,325 +106,281 @@ class SelectionResult:
         return self.covered_samples / num_samples if num_samples else 0.0
 
 
+# -- cover indexes -----------------------------------------------------------
+
+
+class _RowCover:
+    """A layout whose sample rows are ranges ``[indptr[j], indptr[j+1])``
+    of one entry array; the kill pass gathers them with one in-place
+    ranges build into a scratch buffer that grows to the largest kill."""
+
+    def _rows(self, killed: np.ndarray) -> np.ndarray:
+        idx = _concat_ranges(
+            self.indptr[killed], self.indptr[killed + 1], self._scratch
+        )
+        if len(idx) > len(self._scratch):
+            self._scratch = idx
+        return idx
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.indptr[: self.num_samples + 1])
+
+
+class FlatCover(_RowCover):
+    """Cover index over flat incidence arrays ``(flat, indptr, sample_of)``.
+
+    The vertex → entry-position index is one stable argsort of ``flat``:
+    positions ascend within each vertex, so the sample ids a vertex hits
+    ascend too and a prefix cut is one ``searchsorted``.  :meth:`prefix`
+    shares the index with a view over the first ``m`` samples.
+    """
+
+    def __init__(
+        self, n: int, flat: np.ndarray, indptr: np.ndarray, sample_of: np.ndarray
+    ) -> None:
+        self.n = n
+        self.flat, self.indptr, self.sample_of = flat, indptr, sample_of
+        self.num_samples = len(indptr) - 1
+        self.total_entries = len(flat)
+        self._order = np.argsort(flat, kind="stable")
+        self._all_counts = np.bincount(flat, minlength=n)
+        self._vert_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self._all_counts, out=self._vert_indptr[1:])
+        self._scratch = np.empty(0, dtype=np.int64)
+
+    def prefix(self, m: int) -> "FlatCover":
+        """The index over the first ``m`` samples (clamped to the arrays),
+        with its own kill scratch so concurrent selections never share
+        one."""
+        view = copy.copy(self)
+        view.num_samples = min(int(m), self.num_samples)
+        view.total_entries = int(self.indptr[view.num_samples])
+        view._scratch = np.empty(0, dtype=np.int64)
+        return view
+
+    def counts(self) -> np.ndarray:
+        if self.total_entries == len(self.flat):
+            return self._all_counts
+        return np.bincount(self.flat[: self.total_entries], minlength=self.n)
+
+    def hits_of(self, v: int) -> np.ndarray:
+        pos = self._order[self._vert_indptr[v] : self._vert_indptr[v + 1]]
+        if self.total_entries < len(self.flat):
+            pos = pos[: int(np.searchsorted(pos, self.total_entries))]
+        return self.sample_of[pos]
+
+    def members_of(self, killed: np.ndarray) -> np.ndarray:
+        return self.flat[self._rows(killed)]
+
+
+class CompressedCover(_RowCover):
+    """Cover index straight off the coded stream.
+
+    The collection's flat int32 rows are never materialized: one
+    vectorized varint parse yields every entry's rank, one key sort
+    (``rank · m + sample``) groups the sample ids by rank with ascending
+    ids inside each group, and the kill pass gathers the killed samples'
+    ranks from that single parse and inverts them to vertex ids.  The
+    parsed entries live only as long as the cover; the collection stays
+    coded.
+    """
+
+    def __init__(self, collection: CompressedRRRCollection, n: int) -> None:
+        collection._ensure_ranked()
+        ranks, sizes = collection.parse_stream()
+        m = len(sizes)
+        self.n, self.num_samples, self.total_entries = n, m, len(ranks)
+        self.indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(sizes, out=self.indptr[1:])
+        self._ranks = ranks
+        self._invert = collection._invert
+        self._rank_of = collection._rank_of
+        rank_counts = np.bincount(ranks, minlength=n)
+        # Vertex-space counts: ``bincount(_invert(ranks))`` without the
+        # entry-length temporary.
+        self._counts = np.zeros(n, dtype=np.int64)
+        self._counts[self._invert(np.arange(n, dtype=np.int64))] = rank_counts
+        self._rank_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(rank_counts, out=self._rank_indptr[1:])
+        if m:
+            keys = np.repeat(np.arange(m, dtype=np.int64), sizes)
+            keys += ranks * m
+            keys.sort()
+            np.remainder(keys, m, out=keys)
+        else:
+            keys = np.empty(0, dtype=np.int64)
+        self._hits = keys
+        self._scratch = np.empty(0, dtype=np.int64)
+
+    def counts(self) -> np.ndarray:
+        return self._counts
+
+    def hits_of(self, v: int) -> np.ndarray:
+        r = int(self._rank_of[v])
+        return self._hits[self._rank_indptr[r] : self._rank_indptr[r + 1]]
+
+    def members_of(self, killed: np.ndarray) -> np.ndarray:
+        return self._invert(self._ranks[self._rows(killed)])
+
+
+class HypergraphCover:
+    """The bidirectional layout's native inverted index and sample lists
+    (the doubled storage accounted in its ``nbytes_model``)."""
+
+    def __init__(self, collection: HypergraphRRRCollection, n: int) -> None:
+        self.n = n
+        self.num_samples = len(collection)
+        self.total_entries = int(collection.total_entries)
+        self._coll = collection
+
+    def counts(self) -> np.ndarray:
+        return self._coll.counters()
+
+    def hits_of(self, v: int) -> np.ndarray:
+        return np.asarray(self._coll.samples_containing(v), dtype=np.int64)
+
+    def members_of(self, killed: np.ndarray) -> np.ndarray:
+        return np.concatenate([self._coll[s] for s in killed])
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.fromiter(
+            (len(s) for s in self._coll), dtype=np.int64, count=self.num_samples
+        )
+
+
+def _cover_of(collection: RRRCollection, n: int):
+    if isinstance(collection, SortedRRRCollection):
+        return FlatCover(n, *collection.flattened())
+    if isinstance(collection, CompressedRRRCollection):
+        return CompressedCover(collection, n)
+    if isinstance(collection, HypergraphRRRCollection):
+        return HypergraphCover(collection, n)
+    raise TypeError(f"unsupported collection type {type(collection).__name__}")
+
+
+# -- the kernel --------------------------------------------------------------
+
+
+def _decrement(cover, killed: np.ndarray) -> np.ndarray:
+    """Membership counts of the killed samples' vertices."""
+    if len(killed) == 0:
+        return np.zeros(cover.n, dtype=np.int64)
+    return np.bincount(cover.members_of(killed), minlength=cover.n)
+
+
+def greedy_cover(
+    cover,
+    k: int,
+    *,
+    counts: np.ndarray | None = None,
+    forced: tuple[int, ...] = (),
+    excluded: tuple[int, ...] = (),
+) -> Generator:
+    """Greedy max-cover over ``cover`` (generator; see the module docstring).
+
+    Yields the initial count vector (``counts``, default
+    ``cover.counts()``) and then one decrement per iteration, applying
+    whatever is sent back.  ``forced`` vertices are seated first, in the
+    given order (duplicates skipped); ``excluded`` vertices are never
+    picked.  Returns ``(seeds, alive)``: the seeds in selection order and
+    the mask of samples left uncovered.
+    """
+    n = cover.n
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    seats = list(dict.fromkeys(forced))
+    if len(seats) > k:
+        raise ValueError(f"{len(seats)} forced vertices exceed k={k}")
+    for v in excluded:
+        if v in seats:
+            raise ValueError(f"vertex {v} is both forced and excluded")
+
+    counters = np.array(
+        (yield cover.counts() if counts is None else counts), dtype=np.int64
+    )
+    counters[np.asarray(excluded, dtype=np.int64)] = -1
+    alive = np.ones(cover.num_samples, dtype=bool)
+    seeds = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        if i < len(seats):
+            v = seats[i]
+        else:
+            v = int(np.argmax(counters))
+            if counters[v] < 0:  # every candidate is seated or excluded
+                raise ValueError(f"cannot seat {k} seeds: only {i} candidates")
+        seeds[i] = v
+        hits = cover.hits_of(v)
+        killed = hits[alive[hits]]
+        alive[killed] = False
+        counters -= (yield _decrement(cover, killed))
+        counters[v] = -1  # never re-pick a chosen seed
+    return seeds, alive
+
+
+def run_local(steps: Generator):
+    """Drive a selection whose count vectors are already global: each
+    yielded vector is sent straight back."""
+    try:
+        vec = next(steps)
+        while True:
+            vec = steps.send(vec)
+    except StopIteration as done:
+        return done.value
+
+
 def _interval_bounds(n: int, num_ranks: int) -> np.ndarray:
     """The paper's block partition: rank ``t`` owns ``[n·t/p, n·(t+1)/p)``."""
     t = np.arange(num_ranks + 1, dtype=np.int64)
     return (n * t) // num_ranks
 
 
-def select_seeds_sorted(
-    collection: SortedRRRCollection,
-    n: int,
-    k: int,
-    num_ranks: int = 1,
-    *,
-    count_engine=None,
+def meter(
+    cover, seeds: np.ndarray, alive: np.ndarray, num_ranks: int = 1
 ) -> SelectionResult:
-    """Greedy selection over the sorted one-directional layout.
+    """The selection's result and work meters, from its final covered mask.
 
-    The executed kernel is vectorized NumPy, but the *work metering*
-    follows Algorithm 4's partitioned execution: counter updates are
-    attributed to the rank owning the vertex, and each rank is charged
-    ``O(log |R_j|)`` searches per visited sample to find its interval.
-
-    ``count_engine`` (a
-    :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`)
-    replaces the serial ``np.bincount`` of the first counting pass with
-    its partitioned ``count_partitioned`` kernel — bit-identical
-    counters, computed by the worker pool for large collections.
+    The counting pass touches every entry once and each killed sample's
+    entries are decremented once, so ``counter_updates = entries_scanned
+    = E + Σ|R_j|`` over the covered samples.  Each rank runs two binary
+    searches per visited sample (all of them in the counting pass, the
+    covered ones again in the kill pass); counter updates are charged to
+    the rank owning the vertex.  The hypergraph layout scans each seed's
+    inverted list instead and has no interval searches.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if num_ranks < 1:
-        raise ValueError("need at least one rank")
-    flat, indptr, sample_of = collection.flattened()
-    num_samples = len(collection)
-    bounds = _interval_bounds(n, num_ranks)
-
-    # --- counting pass (first step of Algorithm 4) -----------------------
-    if count_engine is not None:
-        counters = count_engine.count_partitioned(flat, n).astype(np.int64)
-    else:
-        counters = np.bincount(flat, minlength=n).astype(np.int64)
-    # Rank attribution of every entry is only needed when the cost model
-    # actually partitions the vertex space; the common single-rank path
-    # skips the O(E log p) searchsorted and charges everything to rank 0.
-    if num_ranks > 1:
-        rank_of_entry = np.searchsorted(bounds, flat, side="right") - 1
-        per_rank_entries = np.bincount(rank_of_entry, minlength=num_ranks)
-    else:
-        rank_of_entry = None
-        per_rank_entries = np.asarray([len(flat)], dtype=np.int64)
-    # Each rank visits every sample and runs two binary searches on it.
-    if num_samples:
-        sizes = np.diff(indptr)
-        search_per_sample = np.ceil(np.log2(np.maximum(sizes, 2))).astype(np.int64)
-        total_search = int(search_per_sample.sum())
-    else:
-        total_search = 0
-    per_rank_searches = np.full(num_ranks, total_search, dtype=np.int64)
-
-    entries_scanned = int(collection.total_entries)
-    counter_updates = int(collection.total_entries)
-
-    # Vertex -> entry positions index (grouped, O(E) once) so the per-
-    # iteration "which samples contain v" lookup is O(|hits|), not O(E).
-    vert_order = np.argsort(flat, kind="stable")
-    vert_counts = np.bincount(flat, minlength=n)
-    vert_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(vert_counts, out=vert_indptr[1:])
-
-    sample_alive = np.ones(num_samples, dtype=bool)
-    seeds = np.empty(k, dtype=np.int64)
-    covered = 0
-    # Kill-pass scratch, hoisted out of the loop: grows to the largest
-    # kill seen so far instead of re-allocating repeat/arange/sum
-    # temporaries on every iteration.
-    entry_scratch = np.empty(0, dtype=np.int64)
-    for i in range(k):
-        v = int(np.argmax(counters))
-        seeds[i] = v
-        positions = vert_order[vert_indptr[v] : vert_indptr[v + 1]]
-        hit_samples = sample_of[positions]
-        killed = hit_samples[sample_alive[hit_samples]]
-        covered += len(killed)
-        if len(killed):
-            sample_alive[killed] = False
-            starts = indptr[killed]
-            stops = indptr[killed + 1]
-            counts = stops - starts
-            ends = np.cumsum(counts)
-            total = int(ends[-1])
-            if len(entry_scratch) < total:
-                entry_scratch = np.empty(
-                    max(total, 2 * len(entry_scratch)), dtype=np.int64
-                )
-            # Concatenated ranges [start_j, stop_j) built in place: ones,
-            # with each range's first slot holding the jump from the
-            # previous range's last value, then one cumulative sum.
-            # Equivalent to repeat(starts, counts) + intra-range iota
-            # without allocating either temporary.
-            entry_idx = entry_scratch[:total]
-            entry_idx.fill(1)
-            entry_idx[0] = starts[0]
-            entry_idx[ends[:-1]] = starts[1:] - stops[:-1] + 1
-            np.cumsum(entry_idx, out=entry_idx)
-            dead_vertices = flat[entry_idx]
-            counters -= np.bincount(dead_vertices, minlength=n)
-            # Metering: each decrement belongs to the rank owning the vertex;
-            # each rank also pays a binary search per killed sample.
-            if rank_of_entry is not None:
-                per_rank_entries += np.bincount(
-                    rank_of_entry[entry_idx], minlength=num_ranks
-                )
-            else:
-                per_rank_entries[0] += total
-            kill_search = int(search_per_sample[killed].sum())
-            per_rank_searches += kill_search
-            entries_scanned += total
-            counter_updates += total
-        counters[v] = -1  # never re-pick a chosen seed
-    return SelectionResult(
+    dead = np.flatnonzero(~alive)
+    sizes = cover.sizes
+    updates = cover.total_entries + int(sizes[dead].sum())
+    common = dict(
         seeds=seeds,
-        covered_samples=covered,
-        entries_scanned=entries_scanned,
-        counter_updates=counter_updates,
-        per_rank_entries=per_rank_entries,
-        per_rank_searches=per_rank_searches,
-        argmax_scans=k * n,
+        covered_samples=len(dead),
+        counter_updates=updates,
+        argmax_scans=len(seeds) * cover.n,
     )
-
-
-def select_seeds_hypergraph(
-    collection: HypergraphRRRCollection,
-    n: int,
-    k: int,
-) -> SelectionResult:
-    """Greedy selection over the bidirectional hypergraph layout.
-
-    Covered samples are found through the vertex→samples inverted index
-    (no scan), the way the reference implementation works; the cost is
-    the doubled storage accounted in :meth:`nbytes_model`.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    counters = collection.counters().astype(np.int64)
-    covered_mask = np.zeros(len(collection), dtype=bool)
-    seeds = np.empty(k, dtype=np.int64)
-    covered = 0
-    entries_scanned = int(collection.total_entries)
-    counter_updates = int(collection.total_entries)
-    for i in range(k):
-        v = int(np.argmax(counters))
-        seeds[i] = v
-        containing = np.asarray(collection.samples_containing(v), dtype=np.int64)
-        entries_scanned += len(containing)
-        if len(containing):
-            new = containing[~covered_mask[containing]]
-        else:
-            new = containing
-        covered += len(new)
-        if len(new):
-            covered_mask[new] = True
-            members = np.concatenate([collection[s] for s in new]).astype(np.int64)
-            counters -= np.bincount(members, minlength=n)
-            entries_scanned += len(members)
-            counter_updates += len(members)
-        counters[v] = -1
-    return SelectionResult(
-        seeds=seeds,
-        covered_samples=covered,
-        entries_scanned=entries_scanned,
-        counter_updates=counter_updates,
-        per_rank_entries=np.asarray([counter_updates], dtype=np.int64),
-        per_rank_searches=np.zeros(1, dtype=np.int64),
-        argmax_scans=k * n,
-    )
-
-
-def select_seeds_compressed(
-    collection: CompressedRRRCollection,
-    n: int,
-    k: int,
-    num_ranks: int = 1,
-    *,
-    count_engine=None,
-) -> SelectionResult:
-    """Greedy selection straight off the coded stream (HBMax-style).
-
-    The collection's flat int32 incidence rows are never materialized:
-    the counting pass is one vectorized varint parse of the coded bytes
-    (:meth:`~repro.sampling.compressed.CompressedRRRCollection
-    .parse_stream`), the vertex→samples lookup is a rank-space index
-    over the parsed entries, and the kill pass marks coverage on the
-    fly by gathering the killed samples' entries from that *single*
-    parse — the coded bytes are decoded exactly once per selection, not
-    once per seed.  The parsed rank entries live only for the duration
-    of the call; the collection itself stays coded throughout.
-
-    Bit-parity with :func:`select_seeds_sorted` is by construction:
-    counters are kept in *original* vertex-id space (so ``argmax`` ties
-    break toward the smallest vertex id, not the hottest rank), every
-    counter value equals the flat layout's bincount, and the killed
-    sample sets are identical — hence identical seeds, covered counts,
-    and work meters.
-
-    ``count_engine`` substitutes the engine's fused per-worker
-    frequency-histogram merge for the coded-stream count when its books
-    balance (the descriptor-protocol rows already hold exactly this
-    histogram); the stream is still parsed once for the hit index.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if num_ranks < 1:
-        raise ValueError("need at least one rank")
-    collection._ensure_ranked()
-    num_samples = len(collection)
-    bounds = _interval_bounds(n, num_ranks)
-
-    # --- counting pass, off the coded stream -----------------------------
-    if num_samples:
-        ranks, sizes = collection.parse_stream()
-    else:
-        ranks = np.empty(0, dtype=np.int64)
-        sizes = np.empty(0, dtype=np.int64)
-    if count_engine is not None:
-        counters = count_engine.count_collection(collection, n).astype(np.int64)
-    else:
-        counters = np.bincount(
-            collection._invert(ranks), minlength=n
-        ).astype(np.int64)
-    sample_of = np.repeat(np.arange(num_samples, dtype=np.int64), sizes)
-    if num_ranks > 1:
-        rank_of_entry = (
-            np.searchsorted(bounds, collection._invert(ranks), side="right") - 1
+    if isinstance(cover, HypergraphCover):
+        scanned = updates + sum(len(cover.hits_of(int(v))) for v in seeds)
+        return SelectionResult(
+            entries_scanned=scanned,
+            per_rank_entries=np.asarray([updates], dtype=np.int64),
+            per_rank_searches=np.zeros(1, dtype=np.int64),
+            **common,
         )
-        per_rank_entries = np.bincount(rank_of_entry, minlength=num_ranks)
+    search = np.ceil(np.log2(np.maximum(sizes, 2))).astype(np.int64)
+    searches = int(search.sum()) + int(search[dead].sum())
+    if num_ranks > 1:
+        per_vertex = cover.counts() + _decrement(cover, dead)
+        csum = np.zeros(cover.n + 1, dtype=np.int64)
+        np.cumsum(per_vertex, out=csum[1:])
+        bounds = _interval_bounds(cover.n, num_ranks)
+        per_rank_entries = csum[bounds[1:]] - csum[bounds[:-1]]
     else:
-        per_rank_entries = np.asarray([len(ranks)], dtype=np.int64)
-    if num_samples:
-        search_per_sample = np.ceil(np.log2(np.maximum(sizes, 2))).astype(np.int64)
-        total_search = int(search_per_sample.sum())
-    else:
-        total_search = 0
-    per_rank_searches = np.full(num_ranks, total_search, dtype=np.int64)
-
-    entries_scanned = int(collection.total_entries)
-    counter_updates = int(collection.total_entries)
-
-    # Rank-space hit index over the parsed entries, built with one key
-    # sort (key = rank * num_samples + sample): grouped by rank with
-    # ascending sample ids inside each group — the same hit ordering the
-    # sorted layout's vertex index produces, without the slower stable
-    # argsort + gather it would take to keep the two arrays separate.
-    rank_counts = np.bincount(ranks, minlength=n)
-    rank_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(rank_counts, out=rank_indptr[1:])
-    if num_samples:
-        keys = ranks * num_samples + sample_of
-        keys.sort()
-        hit_samples = keys % num_samples
-    else:
-        hit_samples = np.empty(0, dtype=np.int64)
-    rank_of = collection._rank_of
-
-    # Per-sample entry ranges into the parsed stream (stream order is
-    # sample order), so the kill pass is a pure gather.
-    entry_indptr = np.zeros(num_samples + 1, dtype=np.int64)
-    np.cumsum(sizes, out=entry_indptr[1:])
-
-    sample_alive = np.ones(num_samples, dtype=bool)
-    seeds = np.empty(k, dtype=np.int64)
-    covered = 0
-    entry_scratch = np.empty(0, dtype=np.int64)
-    for i in range(k):
-        v = int(np.argmax(counters))
-        seeds[i] = v
-        r = int(rank_of[v])
-        hits = hit_samples[rank_indptr[r] : rank_indptr[r + 1]]
-        killed = hits[sample_alive[hits]]
-        covered += len(killed)
-        if len(killed):
-            sample_alive[killed] = False
-            # Coverage marking off the single parse: gather the killed
-            # samples' entry ranges (same in-place ranges trick as the
-            # sorted kernel), then invert rank → vertex per entry.
-            starts = entry_indptr[killed]
-            stops = entry_indptr[killed + 1]
-            counts = stops - starts
-            ends = np.cumsum(counts)
-            total = int(ends[-1])
-            if len(entry_scratch) < total:
-                entry_scratch = np.empty(
-                    max(total, 2 * len(entry_scratch)), dtype=np.int64
-                )
-            entry_idx = entry_scratch[:total]
-            entry_idx.fill(1)
-            entry_idx[0] = starts[0]
-            entry_idx[ends[:-1]] = starts[1:] - stops[:-1] + 1
-            np.cumsum(entry_idx, out=entry_idx)
-            dead_vertices = collection._invert(ranks[entry_idx])
-            counters -= np.bincount(dead_vertices, minlength=n)
-            if num_ranks > 1:
-                per_rank_entries += np.bincount(
-                    np.searchsorted(bounds, dead_vertices, side="right") - 1,
-                    minlength=num_ranks,
-                )
-            else:
-                per_rank_entries[0] += total
-            kill_search = int(search_per_sample[killed].sum())
-            per_rank_searches += kill_search
-            entries_scanned += total
-            counter_updates += total
-        counters[v] = -1
+        per_rank_entries = np.asarray([updates], dtype=np.int64)
     return SelectionResult(
-        seeds=seeds,
-        covered_samples=covered,
-        entries_scanned=entries_scanned,
-        counter_updates=counter_updates,
+        entries_scanned=updates,
         per_rank_entries=per_rank_entries,
-        per_rank_searches=per_rank_searches,
-        argmax_scans=k * n,
+        per_rank_searches=np.full(num_ranks, searches, dtype=np.int64),
+        **common,
     )
 
 
@@ -422,22 +392,23 @@ def select_seeds(
     *,
     count_engine=None,
 ) -> SelectionResult:
-    """Dispatch to the layout-appropriate selector.
+    """Greedy selection over any collection layout.
 
-    All selectors implement the identical greedy policy (including tie
-    breaking), so the chosen seeds depend only on the collection
-    contents — a property the test suite asserts.  ``count_engine``
-    applies to the sorted and compressed layouts (the hypergraph layout
-    reads its counters off the inverted index, no counting pass exists).
+    ``count_engine`` (a
+    :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`)
+    supplies the initial counters of the flat and compressed layouts from
+    its partitioned or fused-histogram counting kernels — bit-identical
+    to the serial count.  The hypergraph layout reads its counters off
+    the inverted index.
     """
-    if isinstance(collection, SortedRRRCollection):
-        return select_seeds_sorted(
-            collection, n, k, num_ranks=num_ranks, count_engine=count_engine
-        )
-    if isinstance(collection, CompressedRRRCollection):
-        return select_seeds_compressed(
-            collection, n, k, num_ranks=num_ranks, count_engine=count_engine
-        )
-    if isinstance(collection, HypergraphRRRCollection):
-        return select_seeds_hypergraph(collection, n, k)
-    raise TypeError(f"unsupported collection type {type(collection).__name__}")
+    if num_ranks < 1:
+        raise ValueError("need at least one rank")
+    cover = _cover_of(collection, n)
+    counts = None
+    if count_engine is not None:
+        if isinstance(cover, FlatCover):
+            counts = count_engine.count_partitioned(cover.flat, n)
+        elif isinstance(cover, CompressedCover):
+            counts = count_engine.count_collection(collection, n)
+    seeds, alive = run_local(greedy_cover(cover, k, counts=counts))
+    return meter(cover, seeds, alive, num_ranks)

@@ -52,6 +52,7 @@ import numpy as np
 from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
 from ..imm.result import IMMResult
+from ..imm.select import FlatCover, greedy_cover, meter
 from ..imm.theta import ThetaEstimate, shrink_epsilon, theta_schedule
 from ..perf.counters import WorkCounters
 from ..perf.memory import MemoryModel
@@ -130,50 +131,29 @@ class _JobState:
             self.sink.append(ck.to_dict())
 
 
+def _allreduced(steps: Generator) -> Generator:
+    """Relay a selection kernel's count vectors through ``Allreduce``."""
+    try:
+        vec = next(steps)
+        while True:
+            vec = steps.send((yield Allreduce(vec)))
+    except StopIteration as done:
+        return done.value
+
+
 def _dist_select(
     collection: SortedRRRCollection, n: int, k: int
 ) -> Generator:
-    """Distributed greedy selection (generator; use ``yield from``).
+    """Distributed greedy selection (generator; use ``yield from``): the
+    shared kernel over this rank's partition, its counters All-Reduced.
 
     Returns ``(seeds, covered_total, local_entries_scanned)``.
     """
-    flat, indptr, sample_of = collection.flattened()
-    num_local = len(collection)
-    local_counts = np.bincount(flat, minlength=n).astype(np.int64)
-    entries = int(collection.total_entries)
-    global_counts = yield Allreduce(local_counts)
-    global_counts = np.asarray(global_counts, dtype=np.int64).copy()
-
-    vert_order = np.argsort(flat, kind="stable")
-    vert_counts = np.bincount(flat, minlength=n)
-    vert_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(vert_counts, out=vert_indptr[1:])
-    sample_alive = np.ones(num_local, dtype=bool)
-
-    seeds = np.empty(k, dtype=np.int64)
-    covered_local = 0
-    for i in range(k):
-        v = int(np.argmax(global_counts))
-        seeds[i] = v
-        positions = vert_order[vert_indptr[v] : vert_indptr[v + 1]]
-        hit = sample_of[positions]
-        killed = hit[sample_alive[hit]]
-        decrement = np.zeros(n, dtype=np.int64)
-        if len(killed):
-            sample_alive[killed] = False
-            covered_local += len(killed)
-            starts = indptr[killed]
-            stops = indptr[killed + 1]
-            counts = stops - starts
-            total = int(counts.sum())
-            entry_idx = np.repeat(stops - np.cumsum(counts), counts) + np.arange(total)
-            decrement = np.bincount(flat[entry_idx], minlength=n).astype(np.int64)
-            entries += total
-        delta = yield Allreduce(decrement)
-        global_counts -= np.asarray(delta, dtype=np.int64)
-        global_counts[v] = -1
-    covered_total = yield Allreduce(covered_local)
-    return seeds, int(covered_total), entries
+    cover = FlatCover(n, *collection.flattened())
+    seeds, alive = yield from _allreduced(greedy_cover(cover, k))
+    local = meter(cover, seeds, alive)
+    covered_total = yield Allreduce(local.covered_samples)
+    return seeds, int(covered_total), local.entries_scanned
 
 
 def _make_rank_program(

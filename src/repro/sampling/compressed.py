@@ -175,13 +175,21 @@ def decode_varints(buf: np.ndarray) -> np.ndarray:
     return _values_from_terminals(buf, terminal)
 
 
-def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+def _concat_ranges(
+    starts: np.ndarray, stops: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Concatenated ``[start_j, stop_j)`` index ranges, built in place
-    with the ones-then-cumsum trick (no repeat/arange temporaries)."""
+    with the ones-then-cumsum trick (no repeat/arange temporaries): ones,
+    with each range's first slot holding the jump from the previous
+    range's last value, then one cumulative sum.  Written into a prefix
+    of ``out`` when it is long enough."""
     counts = stops - starts
     ends = np.cumsum(counts)
     total = int(ends[-1])
-    idx = np.empty(total, dtype=np.int64)
+    if out is not None and len(out) >= total:
+        idx = out[:total]
+    else:
+        idx = np.empty(total, dtype=np.int64)
     idx.fill(1)
     idx[0] = starts[0]
     idx[ends[:-1]] = starts[1:] - stops[:-1] + 1

@@ -9,8 +9,8 @@ what-if seed sets — should pay it once.  This subpackage provides:
   integrity seal and a graph fingerprint binding it to its instance
   (:mod:`repro.serving.frozen`).
 * :class:`InfluenceQueryEngine` — ``top_k`` / ``marginal_gain`` /
-  ``what_if`` / ``tighten`` served from the mapped bytes via CELF lazy
-  re-selection, bit-identical to a fresh ``imm()`` run by running its
+  ``what_if`` / ``tighten`` served from the mapped bytes by the shared
+  greedy kernel, bit-identical to a fresh ``imm()`` run by running its
   θ schedule over index prefixes
   (:mod:`repro.serving.query`).
 * :class:`IndexCache` — a concurrency-safe LRU of open

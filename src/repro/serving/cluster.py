@@ -586,7 +586,7 @@ class ClusterRouter:
                 m = eng.index.num_samples
                 lb = float(mf["lb"]) if mf.get("lb") is not None else 1.0
                 l = float(mf["l"])
-                seeds, covered = eng._celf_select(m, kk)
+                seeds, covered = eng._select(m, kk)
                 common = dict(
                     seeds=seeds,
                     k=kk,

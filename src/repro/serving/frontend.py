@@ -17,7 +17,7 @@ nobody.
 
 **Coalescing + single-writer discipline.**  Identical in-prefix queries
 (same index identity, same arguments) batch onto one execution — one
-CELF pass, every waiter gets the same answer.  In-prefix reads run
+selection pass, every waiter gets the same answer.  In-prefix reads run
 concurrently against the shared mapped arrays: index *extension*
 (tighten, out-of-prefix θ) appends strictly past the sealed prefix and
 never rewrites it, so a reader's prefix views stay valid while a writer
@@ -650,7 +650,7 @@ class ServingFrontend:
             m = eng.index.num_samples
             lb = float(mf["lb"]) if mf.get("lb") is not None else 1.0
             l = float(mf["l"])
-            seeds, covered = eng._celf_select(m, kk)
+            seeds, covered = eng._select(m, kk)
             if self._mutate_dishonest_degrade:
                 # Mutation hook: report the requested ε as achieved.
                 eps_eff = ee

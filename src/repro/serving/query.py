@@ -23,20 +23,17 @@ the index tail in place (old samples stay valid; θ grows monotonically);
 queries that fit inside the index touch **zero** graph edges, which the
 oracle's edge-meter assertion enforces.
 
-**CELF lazy selection.**  Per-query greedy re-selection uses
-Leskovec-style lazy evaluation over ``select_seeds_sorted``'s coverage
-structures (the vertex→positions index, the alive-sample mask): a
-max-heap of stale upper bounds, re-evaluating only the popped vertex.
-Coverage gains are monotone non-increasing as seeds are added
-(submodularity), so a re-evaluated top-of-heap is the true argmax; the
-heap orders ties by vertex id, reproducing the argmax selector's
-smallest-id tie-break exactly — a property the test suite asserts
-against :func:`~repro.imm.select.select_seeds_sorted` directly.
+**One greedy kernel.**  Every selection — each replayed round, the
+final pick, ``what_if``'s constrained seating and ``marginal_gain``'s
+covering of the given set — runs :func:`~repro.imm.select.greedy_cover`,
+the kernel ``imm()`` itself selects with, over a
+:class:`~repro.imm.select.FlatCover` of the mapped arrays cut to the
+query's prefix.  The cover is built once per mapping and cached on the
+identity of the ``flat`` array it was built from.
 """
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -44,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from ..diffusion import DiffusionModel
-from ..imm.select import select_seeds
+from ..imm.select import FlatCover, greedy_cover, run_local, select_seeds
 from ..imm.theta import drain, estimate_theta, theta_schedule
 from ..sampling import BatchedRRRSampler, SortedRRRCollection, sample_batch
 from .frozen import FrozenIndexError, FrozenRRRIndex
@@ -179,7 +176,7 @@ def _validate_vertex_ids(ids, n: int, what: str) -> tuple[int, ...]:
     touched.
 
     Without this, an out-of-range id surfaces as a numpy ``IndexError``
-    deep inside CELF — and a *negative* id silently wraps around and
+    deep inside the selection — and a *negative* id silently wraps around and
     answers about the wrong vertex, which is worse than crashing.
     """
     checked = []
@@ -215,34 +212,60 @@ class InfluenceQueryEngine:
         self.index = index
         self.graph = graph
         self._sampler = None
-        # (vert_order, vert_indptr) as ONE attribute: the front end runs
-        # concurrent queries against a shared engine in worker threads,
-        # and a single tuple assignment is atomic where a pair of
-        # attribute writes can be observed half-built.
-        self._vert_cache: tuple[np.ndarray, np.ndarray] | None = None
+        # The cover index of the current mapping, published as ONE
+        # attribute: the front end runs concurrent queries against a
+        # shared engine in worker threads, and its ``flat`` identifies the
+        # mapping it was built from.
+        self._cover_cache: FlatCover | None = None
         #: cumulative edges examined by serving-time extensions.
         self.edges_examined = 0
         # Test hook for the tighten-reuses-wrong-stream-offset mutant:
         # extension draws streams [0, count) instead of [start, target).
         self._mutate_stream_restart = _mutate_stream_restart
 
-    # -- coverage structures ----------------------------------------------
+    # -- selection ---------------------------------------------------------
 
-    def _vertex_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vertex → flat-entry positions, grouped (stable, so positions
-        ascend within each vertex — prefix cuts are one searchsorted)."""
-        cache = self._vert_cache
-        if cache is None:
-            flat, _, _ = self.index.arrays()
-            order = np.argsort(flat, kind="stable")
-            counts = np.bincount(flat, minlength=self.index.n)
-            vert_indptr = np.zeros(self.index.n + 1, dtype=np.int64)
-            np.cumsum(counts, out=vert_indptr[1:])
-            cache = self._vert_cache = (order, vert_indptr)
-        return cache
+    def _cover(self, num_samples: int) -> FlatCover:
+        """The cover index over the first ``num_samples`` samples.
 
-    def _invalidate(self) -> None:
-        self._vert_cache = None
+        Rebuilt whenever the mapping changed since the cached one was
+        built, whichever thread stored it.  The prefix is clamped to the
+        mapping: a concurrent extension commits the manifest count before
+        the remap lands, so a racing caller's ``num_samples`` snapshot can
+        momentarily exceed the mapped arrays.
+        """
+        flat, indptr, sample_of = self.index.arrays()
+        cover = self._cover_cache
+        if cover is None or cover.flat is not flat:
+            # Release the stale index (and the mapping it pins) before
+            # building its successor, so the two are never resident
+            # together.
+            cover = self._cover_cache = None
+            cover = self._cover_cache = FlatCover(
+                self.index.n, flat, indptr, sample_of
+            )
+        return cover.prefix(num_samples)
+
+    def _select(
+        self,
+        num_samples: int,
+        k: int,
+        *,
+        forced: tuple[int, ...] = (),
+        excluded: tuple[int, ...] = (),
+    ) -> tuple[np.ndarray, int]:
+        """Greedy max-cover over the first ``num_samples`` samples:
+        ``(seeds, covered)``, identical to :func:`select_seeds` on the
+        same prefix.  ``forced`` vertices are seated first (in the given
+        order); ``excluded`` vertices are never picked."""
+        n = self.index.n
+        forced = _validate_vertex_ids(forced, n, "forced")
+        excluded = _validate_vertex_ids(excluded, n, "excluded")
+        cover = self._cover(num_samples)
+        seeds, alive = run_local(
+            greedy_cover(cover, k, forced=forced, excluded=excluded)
+        )
+        return seeds, cover.num_samples - int(np.count_nonzero(alive))
 
     # -- sampling-on-demand ------------------------------------------------
 
@@ -279,105 +302,9 @@ class InfluenceQueryEngine:
         idx.extend(
             flat.astype(np.int32), np.diff(indptr), per_sample, start=start
         )
-        self._invalidate()
         edges = int(per_sample.sum())
         self.edges_examined += edges
         return target - start, edges
-
-    # -- CELF lazy greedy --------------------------------------------------
-
-    def _celf_select(
-        self,
-        num_samples: int,
-        k: int,
-        *,
-        forced: tuple[int, ...] = (),
-        excluded: tuple[int, ...] = (),
-    ) -> tuple[np.ndarray, int]:
-        """Greedy max-cover over the first ``num_samples`` samples.
-
-        Bit-identical to :func:`~repro.imm.select.select_seeds_sorted`
-        on the same prefix (same seeds, same covered count, same
-        smallest-id tie-break), but lazy: only popped vertices are
-        re-evaluated, so a warm query touches a tiny fraction of the
-        counter array.  ``forced`` vertices are seated first (in the
-        given order); ``excluded`` vertices never enter the heap.
-        """
-        n = self.index.n
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        flat, indptr, sample_of = self.index.arrays()
-        # Clamp to the mapped prefix: a concurrent extension commits the
-        # manifest count before the remap lands, so a racing caller's
-        # ``num_samples`` snapshot can momentarily exceed ``indptr``.
-        m = min(int(num_samples), len(indptr) - 1)
-        entries_m = int(indptr[m])
-        vert_order, vert_indptr = self._vertex_index()
-        alive = np.ones(m, dtype=bool)
-        taken = np.zeros(n, dtype=bool)
-        seeds: list[int] = []
-        covered = 0
-
-        def hits_of(v: int) -> np.ndarray:
-            pos = vert_order[vert_indptr[v] : vert_indptr[v + 1]]
-            cut = int(np.searchsorted(pos, entries_m))
-            return sample_of[pos[:cut]]
-
-        forced = _validate_vertex_ids(forced, n, "forced")
-        excluded = _validate_vertex_ids(excluded, n, "excluded")
-        for v in forced:
-            if taken[v]:
-                continue
-            taken[v] = True
-            seeds.append(v)
-            hits = hits_of(v)
-            killed = hits[alive[hits]]
-            covered += len(killed)
-            alive[killed] = False
-        if len(seeds) > k:
-            raise ValueError(f"{len(seeds)} forced vertices exceed k={k}")
-
-        for v in excluded:
-            if taken[v]:
-                raise ValueError(f"vertex {v} is both forced and excluded")
-            taken[v] = True  # never enters the heap
-
-        if len(seeds) < k:
-            # Initial gains: membership counts over the prefix, minus
-            # anything the forced set already covered.
-            if covered:
-                mask = alive[sample_of[:entries_m]]
-                counters = np.bincount(flat[:entries_m][mask], minlength=n)
-            else:
-                counters = np.bincount(flat[:entries_m], minlength=n)
-            stamp0 = len(seeds)
-            heap = [
-                (-int(counters[v]), v, stamp0)
-                for v in range(n)
-                if not taken[v]
-            ]
-            heapq.heapify(heap)
-            while len(seeds) < k:
-                if not heap:
-                    raise ValueError(
-                        f"cannot seat {k} seeds: only {len(seeds)} candidates"
-                    )
-                neg_gain, v, stamp = heapq.heappop(heap)
-                if taken[v]:
-                    continue
-                hits = hits_of(v)
-                if stamp != len(seeds):
-                    # Stale bound: re-evaluate and re-queue.  Gains only
-                    # shrink, so a fresh top-of-heap is the true argmax.
-                    gain = int(np.count_nonzero(alive[hits]))
-                    heapq.heappush(heap, (-gain, v, len(seeds)))
-                    continue
-                taken[v] = True
-                seeds.append(v)
-                killed = hits[alive[hits]]
-                covered += len(killed)
-                alive[killed] = False
-        return np.asarray(seeds, dtype=np.int64), covered
 
     # -- queries -----------------------------------------------------------
 
@@ -416,7 +343,7 @@ class InfluenceQueryEngine:
 
         def cover(theta_x: int, _est) -> tuple[int, int]:
             ensure(theta_x)
-            return self._celf_select(theta_x, k)[1], theta_x
+            return self._select(theta_x, k)[1], theta_x
 
         est = drain(theta_schedule(
             self.index.n, k, eps, float(mf["l"]), cover,
@@ -425,7 +352,7 @@ class InfluenceQueryEngine:
         # The final selection runs over max(θ_x of the last round, θ).
         num_used = max(est.coverage_history[-1][0], est.theta)
         ensure(num_used)
-        seeds, covered = self._celf_select(num_used, k)
+        seeds, covered = self._select(num_used, k)
         return ServingResult(
             seeds=seeds,
             k=k,
@@ -481,7 +408,7 @@ class InfluenceQueryEngine:
         mf = self.index.manifest
         k = int(mf["k"]) if k is None else int(k)
         m = self.index.num_samples
-        seeds, covered = self._celf_select(
+        seeds, covered = self._select(
             m, k, forced=tuple(forced), excluded=tuple(excluded)
         )
         return ServingResult(
@@ -512,31 +439,23 @@ class InfluenceQueryEngine:
         ``seed_set`` report 0.  ``candidates`` restricts the returned
         array to those vertices (same order) without changing values.
         """
-        idx = self.index
-        n, m = idx.n, idx.num_samples
+        n, m = self.index.n, self.index.num_samples
         seed_set = _validate_vertex_ids(seed_set, n, "seed")
         if candidates is not None:
             candidates = np.asarray(
                 _validate_vertex_ids(candidates, n, "candidate"), dtype=np.int64
             )
-        flat, indptr, sample_of = idx.arrays()
-        vert_order, vert_indptr = self._vertex_index()
-        # Snapshot the prefix: the front end runs pure reads concurrently
-        # with a single extension writer, so the mapped arrays (and the
-        # vertex index) may already cover samples past ``m`` — every read
-        # below is cut to the first ``m`` samples, exactly like
-        # ``_celf_select``'s prefix replay.
-        m = min(m, len(indptr) - 1)
-        entries = int(indptr[m])
+        # The cover is cut to the ``m``-sample snapshot: the front end runs
+        # pure reads concurrently with a single extension writer, so the
+        # mapped arrays may already cover samples past it.
+        cover = self._cover(m)
+        m, entries = cover.num_samples, cover.total_entries
+        flat, sample_of = cover.flat, cover.sample_of
         alive = np.ones(m, dtype=bool)
-        covered = 0
-        for v in seed_set:
-            pos = vert_order[vert_indptr[v] : vert_indptr[v + 1]]
-            pos = pos[: int(np.searchsorted(pos, entries))]
-            hits = sample_of[pos]
-            killed = hits[alive[hits]]
-            covered += len(killed)
-            alive[killed] = False
+        seats = tuple(dict.fromkeys(seed_set))
+        if seats:
+            _, alive = run_local(greedy_cover(cover, len(seats), forced=seats))
+        covered = m - int(np.count_nonzero(alive))
         mask = alive[sample_of[:entries]]
         gains_count = np.bincount(flat[:entries][mask], minlength=n)
         scale = n / m if m else 0.0

@@ -52,6 +52,7 @@ from .recovery import (
 from .report import ValidationReport, Violation
 from .rnglaws import check_counter_streams, check_leapfrog_tiling, check_rng_laws
 from .schedule import check_theta_schedule
+from .selection import check_selection_reference
 from .serving import (
     check_compressed_serving,
     check_index_bitwise,
@@ -92,6 +93,7 @@ __all__ = [
     "check_frontend_equivalence",
     "check_cluster_equivalence",
     "check_theta_schedule",
+    "check_selection_reference",
     "MutantResult",
     "run_mutation_suite",
     "SMOKE_MUTANTS",

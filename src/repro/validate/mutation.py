@@ -18,7 +18,7 @@ corrupted ``indptr``        ``collection.indptr-monotone`` invariant
 corrupted ``sample_of``     ``collection.sample-of`` invariant
 byte-model drift            ``collection.byte-model`` invariant
 dropped inverted entry      ``collection.inverted-index`` invariant
-skipped counter decrement   seed-set equivalence comparison
+skipped counter decrement   ``selection.reference``
 biased RNG draw             bitwise collection comparison
 recovery skips a sample     ``recovery.rebuild-count``
 wrong-stream replay         ``recovery.rebuild-bitwise``
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets import load
-from ..imm.select import select_seeds_sorted
 from ..mpi import imm_dist, rebuild_partition
 from ..sampling import (
     BatchedRRRSampler,
@@ -72,6 +71,7 @@ from .invariants import (
 )
 from .recovery import check_degraded_accounting, check_rebuild_fidelity
 from .schedule import check_theta_schedule
+from .selection import check_selection_reference
 from .serving import check_index_bitwise, check_index_graph_binding
 from .supervision import check_supervised_sampling
 
@@ -208,41 +208,26 @@ def _mutant_inverted_index(seed: int) -> MutantResult:
     )
 
 
-def _select_skip_decrement(coll: SortedRRRCollection, n: int, k: int) -> np.ndarray:
-    """The injected selection bug: greedy that never decrements.
-
-    Structurally the same loop as the real selector, minus the purge
-    accounting — the classic "forgot to subtract covered memberships"
-    slip that still returns a plausible-looking seed set.
-    """
-    counters = coll.counters().astype(np.int64)
-    seeds = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        v = int(np.argmax(counters))
-        seeds[i] = v
-        counters[v] = -1  # skips the per-sample decrement entirely
-    return seeds
-
-
 def _mutant_skipped_decrement(seed: int) -> MutantResult:
-    # A collection where skipping decrements provably flips the second
-    # pick: vertex 1 covers everything vertex 0 appears in, so after a
-    # correct purge vertex 0's count drops to zero and vertex 2 wins.
-    coll = SortedRRRCollection(3)
-    for s in ([0, 1], [0, 1], [1], [2]):
-        coll.append(np.asarray(s, dtype=np.int64))
-    good = select_seeds_sorted(coll, 3, 2).seeds
-    bad = _select_skip_decrement(coll, 3, 2)
-    diverged = not np.array_equal(good, bad)
+    """The shared greedy kernel never decrements covered memberships —
+    the classic slip that still returns a plausible-looking seed set.
+    Every selection path runs that kernel, so all agree; only the
+    set-based reference of ``selection.reference`` can see it."""
+    from ..imm import select as select_mod
+
+    decrement = select_mod._decrement
+    select_mod._decrement = lambda cover, killed: np.zeros(cover.n, dtype=np.int64)
+    try:
+        detected, evidence = _violated(
+            check_selection_reference("mutant", seed), "selection.reference"
+        )
+    finally:
+        select_mod._decrement = decrement
     return MutantResult(
         "skipped-decrement",
-        "greedy selector that never decrements covered memberships",
-        diverged,
-        (
-            f"seed-set comparison caught it: {good.tolist()} vs {bad.tolist()}"
-            if diverged
-            else "mutant selector returned the reference seed set"
-        ),
+        "greedy kernel that never decrements covered memberships",
+        detected,
+        evidence,
     )
 
 

@@ -2,13 +2,13 @@
 
 Codec round-trip properties, decode fuzzing (truncated / corrupt coded
 bytes must raise typed errors, never return garbage), collection
-semantics parity with the sorted layout, and selection bit-parity.
+semantics parity with the sorted layout.  Selection parity with the
+other layouts is tested in ``test_imm_select.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.imm.select import select_seeds_compressed, select_seeds_sorted
 from repro.sampling import (
     CompressedRRRCollection,
     CorruptCodedStreamError,
@@ -16,7 +16,6 @@ from repro.sampling import (
     TruncatedCodedStreamError,
     decode_varints,
     encode_varints,
-    sample_batch,
 )
 from repro.sampling.compressed import MAX_VARINT_BYTES
 
@@ -237,17 +236,3 @@ class TestCompressedCollection:
         coll._ensure_ranked()
         # The dominant terms: coded bytes must beat 4-byte-per-entry flat.
         assert coll.coded_bytes < 4 * coll.total_entries
-
-
-class TestSelectionParity:
-    @pytest.mark.parametrize("num_ranks", [1, 3])
-    def test_seeds_match_sorted_layout(self, ba_graph, num_ranks):
-        sorted_coll = SortedRRRCollection(ba_graph.n)
-        comp_coll = CompressedRRRCollection(ba_graph.n)
-        sample_batch(ba_graph, "IC", sorted_coll, 500, 17)
-        sample_batch(ba_graph, "IC", comp_coll, 500, 17)
-        a = select_seeds_sorted(sorted_coll, ba_graph.n, 8, num_ranks)
-        b = select_seeds_compressed(comp_coll, ba_graph.n, 8, num_ranks)
-        assert a.seeds.tolist() == b.seeds.tolist()
-        assert a.covered_samples == b.covered_samples
-        assert a.counter_updates == b.counter_updates

@@ -5,15 +5,45 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.imm import select_seeds, select_seeds_hypergraph, select_seeds_sorted
-from repro.sampling import HypergraphRRRCollection, SortedRRRCollection
+from repro.imm import select_seeds
+from repro.sampling import (
+    CompressedRRRCollection,
+    HypergraphRRRCollection,
+    SortedRRRCollection,
+)
+from repro.serving import FrozenRRRIndex, InfluenceQueryEngine
+from repro.validate.selection import reference_greedy
+
+LAYOUTS = {
+    "sorted": SortedRRRCollection,
+    "compressed": CompressedRRRCollection,
+    "hypergraph": HypergraphRRRCollection,
+}
 
 
 def build(sets, n, layout):
-    coll = (SortedRRRCollection if layout == "sorted" else HypergraphRRRCollection)(n)
+    coll = LAYOUTS[layout](n)
     for s in sets:
-        coll.append(np.asarray(sorted(s), np.int32))
+        coll.append(np.asarray(sorted(s), np.int64))
     return coll
+
+
+def run_dist(partitions, n, k):
+    """Drive _dist_select via the real SPMD harness, one partition of
+    the sample space per rank: ``{rank: (seeds, covered, entries)}``."""
+    from repro.mpi.comm import run_spmd
+    from repro.mpi.distributed import _dist_select
+
+    out = {}
+
+    def program(rank, size):
+        coll = build(partitions[rank], n, "sorted")
+        seeds, covered, entries = yield from _dist_select(coll, n, k)
+        out[rank] = (seeds.tolist(), covered, entries)
+        return rank
+
+    run_spmd(len(partitions), program)
+    return out
 
 
 def brute_force_cover(sets, n, k):
@@ -39,14 +69,14 @@ SETS = [
 class TestGreedyCorrectness:
     def test_first_pick_is_max_count(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 1)
+        sel = select_seeds(coll, 5, 1)
         # vertex 2 appears in 3 sets — the unique max
         assert sel.seeds.tolist() == [2]
         assert sel.covered_samples == 3
 
     def test_coverage_counts_match_manual(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 2)
+        sel = select_seeds(coll, 5, 2)
         # after 2: remaining sets {3}, {4}, {0,4}; best second = 4 (covers 2)
         assert sel.seeds.tolist() == [2, 4]
         assert sel.covered_samples == 5
@@ -63,65 +93,134 @@ class TestGreedyCorrectness:
             ]
             k = 3
             coll = build(sets, n, "sorted")
-            sel = select_seeds_sorted(coll, n, k)
+            sel = select_seeds(coll, n, k)
             optimum = brute_force_cover(sets, n, k)
             assert sel.covered_samples >= (1 - 1 / np.e) * optimum - 1e-9
 
     def test_ties_break_to_smallest_id(self):
         coll = build([{3}, {1}], 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 1)
+        sel = select_seeds(coll, 5, 1)
         assert sel.seeds.tolist() == [1]
 
     def test_k_larger_than_useful_vertices(self):
         coll = build([{0}, {1}], 3, "sorted")
-        sel = select_seeds_sorted(coll, 3, 3)
+        sel = select_seeds(coll, 3, 3)
         assert len(sel.seeds) == 3
         assert len(set(sel.seeds.tolist())) == 3  # no duplicate seeds
         assert sel.covered_samples == 2
 
 
 class TestLayoutEquivalence:
-    def test_identical_seeds_on_random_instances(self):
-        rng = np.random.default_rng(4)
-        for trial in range(8):
-            n = 20
-            sets = [
-                set(rng.choice(n, size=rng.integers(1, 6), replace=False).tolist())
-                for _ in range(40)
-            ]
-            a = select_seeds(build(sets, n, "sorted"), n, 5)
-            b = select_seeds(build(sets, n, "hypergraph"), n, 5)
-            assert a.seeds.tolist() == b.seeds.tolist()
-            assert a.covered_samples == b.covered_samples
-
     def test_dispatch_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             select_seeds([], 5, 1)
 
 
+class TestLayoutParity:
+    """Every layout selects through the one kernel, each with its own
+    cover index; each must match the set-based reference on tie-rich
+    random instances, and the flat-row layouts must meter alike."""
+
+    @staticmethod
+    def _select(layout, sets, n, k, tmp_path):
+        """``(seeds, covered, counter_updates, samples used)``."""
+        if layout in LAYOUTS:
+            sel = select_seeds(build(sets, n, layout), n, k)
+            seeds = sel.seeds.tolist()
+            return seeds, sel.covered_samples, sel.counter_updates, len(sets)
+        if layout == "frozen-prefix":
+            m = len(sets) - 7
+            index = FrozenRRRIndex.freeze(
+                build(sets, n, "sorted"), tmp_path, n=n, model="IC", seed=0,
+                k=k, eps=0.5, edges=np.zeros(len(sets), dtype=np.int64),
+            )
+            try:
+                # The serving engine's selection over its cached cover,
+                # metered through a prefix view of the same maps.
+                seeds, covered = InfluenceQueryEngine(index)._select(m, k)
+                sel = select_seeds(index.collection_view(m), n, k)
+                assert (sel.seeds.tolist(), sel.covered_samples) == (
+                    seeds.tolist(), covered
+                )
+            finally:
+                index.close()
+            return seeds.tolist(), covered, sel.counter_updates, m
+        p = int(layout.removeprefix("dist-p"))
+        out = run_dist([sets[r::p] for r in range(p)], n, k)
+        assert all(out[r][:2] == out[0][:2] for r in range(p))  # ranks agree
+        seeds, covered, _ = out[0]
+        return seeds, covered, sum(o[2] for o in out.values()), len(sets)
+
+    @pytest.mark.parametrize(
+        "layout", [*LAYOUTS, "frozen-prefix", "dist-p1", "dist-p3"]
+    )
+    def test_matches_reference(self, layout, tmp_path):
+        rng = np.random.default_rng(4)
+        for trial in range(8):
+            n = 12
+            sets = [
+                rng.choice(n, size=rng.integers(1, 5), replace=False).tolist()
+                for _ in range(40)
+            ]
+            k = n if trial == 0 else int(rng.integers(1, n))
+            seeds, covered, updates, m = self._select(
+                layout, sets, n, k, tmp_path / str(trial)
+            )
+            assert (seeds, covered) == reference_greedy(sets[:m], n, k), trial
+            if layout != "hypergraph":
+                flat = select_seeds(build(sets[:m], n, "sorted"), n, k)
+                assert updates == flat.counter_updates, trial
+
+
 class TestMetering:
+    # Literal values: the cost models price selection from these meters,
+    # so a change in how they are derived must not move them.
+    METER_SETS = [
+        {0, 1, 2}, {1, 2}, {2, 3}, {3}, {4}, {0, 4}, {5, 6, 7}, {1, 5}, {2, 6}, {7}
+    ]
+
+    @pytest.mark.parametrize("layout", ["sorted", "compressed"])
+    def test_meter_literals(self, layout):
+        one = select_seeds(build(self.METER_SETS, 8, layout), 8, 3, num_ranks=1)
+        three = select_seeds(build(self.METER_SETS, 8, layout), 8, 3, num_ranks=3)
+        for sel in (one, three):
+            assert sel.seeds.tolist() == [2, 4, 5]
+            assert sel.covered_samples == 8
+            assert sel.counter_updates == sel.entries_scanned == 36
+            assert sel.argmax_scans == 24
+        assert one.per_rank_entries.tolist() == [36]
+        assert one.per_rank_searches.tolist() == [22]
+        assert three.per_rank_entries.tolist() == [10, 15, 11]
+        assert three.per_rank_searches.tolist() == [22, 22, 22]
+
+    def test_hypergraph_meter_literals(self):
+        sel = select_seeds(build(self.METER_SETS, 8, "hypergraph"), 8, 3)
+        assert sel.counter_updates == 36
+        assert sel.entries_scanned == 44  # plus each seed's inverted list
+        assert sel.per_rank_entries.tolist() == [36]
+
     def test_per_rank_entries_sum_to_total_work(self):
         coll = build(SETS, 5, "sorted")
-        one = select_seeds_sorted(coll, 5, 2, num_ranks=1)
-        four = select_seeds_sorted(build(SETS, 5, "sorted"), 5, 2, num_ranks=4)
+        one = select_seeds(coll, 5, 2, num_ranks=1)
+        four = select_seeds(build(SETS, 5, "sorted"), 5, 2, num_ranks=4)
         assert four.per_rank_entries.sum() == one.per_rank_entries.sum()
         assert four.num_ranks == 4
 
     def test_counting_pass_work_equals_entries(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 1)
+        sel = select_seeds(coll, 5, 1)
         # counting pass scans every incidence once at minimum
         assert sel.entries_scanned >= coll.total_entries
         assert sel.counter_updates >= coll.total_entries
 
     def test_argmax_scans(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 3)
+        sel = select_seeds(coll, 5, 3)
         assert sel.argmax_scans == 3 * 5
 
     def test_coverage_fraction(self):
         coll = build(SETS, 5, "sorted")
-        sel = select_seeds_sorted(coll, 5, 2)
+        sel = select_seeds(coll, 5, 2)
         assert sel.coverage_fraction(len(coll)) == pytest.approx(5 / 6)
         assert sel.coverage_fraction(0) == 0.0
 
@@ -136,28 +235,14 @@ class TestTieBreakContract:
     N = 6
 
     def _run_dist(self, partitions, n, k):
-        """Drive _dist_select via the real SPMD harness, one partition of
-        the sample space per rank."""
-        from repro.mpi.comm import run_spmd
-        from repro.mpi.distributed import _dist_select
-
-        out = {}
-
-        def program(rank, size):
-            coll = build(partitions[rank], n, "sorted")
-            seeds, covered, _ = yield from _dist_select(coll, n, k)
-            out[rank] = (seeds.tolist(), covered)
-            return rank
-
-        run_spmd(len(partitions), program)
-        return out
+        return {r: out[:2] for r, out in run_dist(partitions, n, k).items()}
 
     def test_sorted_breaks_tie_to_smallest(self):
-        sel = select_seeds_sorted(build(self.TIED_SETS, self.N, "sorted"), self.N, 2)
+        sel = select_seeds(build(self.TIED_SETS, self.N, "sorted"), self.N, 2)
         assert sel.seeds.tolist() == [2, 4]
 
     def test_hypergraph_breaks_tie_to_smallest(self):
-        sel = select_seeds_hypergraph(
+        sel = select_seeds(
             build(self.TIED_SETS, self.N, "hypergraph"), self.N, 2
         )
         assert sel.seeds.tolist() == [2, 4]
@@ -185,10 +270,8 @@ class TestTieBreakContract:
                 set(rng.choice(n, size=rng.integers(1, 3), replace=False).tolist())
                 for _ in range(10)
             ]
-            a = select_seeds_sorted(build(sets, n, "sorted"), n, 3).seeds.tolist()
-            b = select_seeds_hypergraph(
-                build(sets, n, "hypergraph"), n, 3
-            ).seeds.tolist()
+            a = select_seeds(build(sets, n, "sorted"), n, 3).seeds.tolist()
+            b = select_seeds(build(sets, n, "hypergraph"), n, 3).seeds.tolist()
             parts = [sets[0::2], sets[1::2]]
             out = self._run_dist(parts, n, 3)
             assert a == b == out[0][0] == out[1][0]
@@ -198,16 +281,16 @@ class TestValidation:
     def test_bad_k(self):
         coll = build(SETS, 5, "sorted")
         with pytest.raises(ValueError):
-            select_seeds_sorted(coll, 5, 0)
+            select_seeds(coll, 5, 0)
         with pytest.raises(ValueError):
-            select_seeds_sorted(coll, 5, 6)
+            select_seeds(coll, 5, 6)
 
     def test_bad_ranks(self):
         coll = build(SETS, 5, "sorted")
         with pytest.raises(ValueError):
-            select_seeds_sorted(coll, 5, 1, num_ranks=0)
+            select_seeds(coll, 5, 1, num_ranks=0)
 
     def test_hypergraph_bad_k(self):
         coll = build(SETS, 5, "hypergraph")
         with pytest.raises(ValueError):
-            select_seeds_hypergraph(coll, 5, 0)
+            select_seeds(coll, 5, 0)

@@ -1,10 +1,11 @@
 """Query-engine tests (repro.serving.query / repro.serving.cache).
 
-The load-bearing property is CELF ↔ ``select_seeds_sorted`` parity: the
-lazy greedy must reproduce the eager argmax selector bit for bit (same
-seeds, same covered count, same smallest-id tie-break) on any prefix —
-that parity is what makes the θ-estimation replay, and therefore every
-served answer, bit-identical to a fresh ``imm()``.
+The load-bearing property is that the engine selects over any index
+prefix exactly as ``select_seeds`` does over the same samples (same
+seeds, same covered count, same smallest-id tie-break; tested with the
+other layouts in ``test_imm_select.py``) — that is what makes the
+θ-estimation replay, and therefore every served answer, bit-identical to
+a fresh ``imm()``.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from repro.graph import CSRGraph
 from repro.imm import imm
-from repro.imm.select import select_seeds_sorted
+from repro.imm.select import select_seeds
 from repro.serving import (
     FrozenIndexError,
     FrozenRRRIndex,
@@ -40,25 +41,12 @@ def frozen(ba_graph, tmp_path_factory):
 
 
 class TestCelfParity:
-    def test_matches_eager_selector_on_prefixes(self, ba_graph, frozen):
-        out, _ = frozen
-        with FrozenRRRIndex.open(out, graph=ba_graph) as index:
-            eng = InfluenceQueryEngine(index, graph=ba_graph)
-            for m in (1, 3, 17, CAP // 2, index.num_samples):
-                for k in (1, 2, K):
-                    seeds, covered = eng._celf_select(m, k)
-                    want = select_seeds_sorted(
-                        index.collection_view(m), ba_graph.n, k
-                    )
-                    assert np.array_equal(seeds, want.seeds), (m, k)
-                    assert covered == want.covered_samples, (m, k)
-
     def test_forced_vertices_seat_first(self, ba_graph, frozen):
         out, _ = frozen
         with FrozenRRRIndex.open(out, graph=ba_graph) as index:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             m = index.num_samples
-            seeds, _ = eng._celf_select(m, K, forced=(42, 7))
+            seeds, _ = eng._select(m, K, forced=(42, 7))
             assert seeds[:2].tolist() == [42, 7]
             assert len(np.unique(seeds)) == K
 
@@ -67,9 +55,9 @@ class TestCelfParity:
         with FrozenRRRIndex.open(out, graph=ba_graph) as index:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             m = index.num_samples
-            free, _ = eng._celf_select(m, K)
+            free, _ = eng._select(m, K)
             banned = tuple(int(v) for v in free[:2])
-            seeds, _ = eng._celf_select(m, K, excluded=banned)
+            seeds, _ = eng._select(m, K, excluded=banned)
             assert not set(banned) & set(seeds.tolist())
 
     def test_constraint_errors(self, ba_graph, frozen):
@@ -78,11 +66,50 @@ class TestCelfParity:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             m = index.num_samples
             with pytest.raises(ValueError, match="exceed k"):
-                eng._celf_select(m, 2, forced=(1, 2, 3))
+                eng._select(m, 2, forced=(1, 2, 3))
             with pytest.raises(ValueError, match="out of range"):
-                eng._celf_select(m, 2, forced=(ba_graph.n,))
+                eng._select(m, 2, forced=(ba_graph.n,))
             with pytest.raises(ValueError, match="both forced and excluded"):
-                eng._celf_select(m, 2, forced=(1,), excluded=(1,))
+                eng._select(m, 2, forced=(1,), excluded=(1,))
+            # Every vertex but one can be seated: the argmax must not
+            # fall back on the excluded vertex.
+            with pytest.raises(ValueError, match="cannot seat"):
+                eng.what_if(k=ba_graph.n, excluded=(3,))
+
+
+class TestCoverCache:
+    def test_extension_during_index_build_is_not_served(
+        self, ba_graph, tmp_path, monkeypatch
+    ):
+        """An extension that lands while a query builds the cover index
+        must not leave that pre-extension index serving later queries:
+        they would miss the new samples' entries.  The extension is
+        triggered from inside the index build's argsort."""
+        index, _ = freeze_index(
+            ba_graph, K, EPS, "IC", SEED, theta_cap=CAP, out_dir=tmp_path / "i"
+        )
+        try:
+            eng = InfluenceQueryEngine(index, graph=ba_graph)
+            target = index.num_samples + 200
+            argsort, fired = np.argsort, []
+
+            def argsort_then_extend(*args, **kwargs):
+                order = argsort(*args, **kwargs)
+                if not fired:
+                    fired.append(True)
+                    eng._ensure_samples(target, allow_extend=True)
+                return order
+
+            monkeypatch.setattr(np, "argsort", argsort_then_extend)
+            eng.what_if(K)  # builds over the pre-extension mapping
+            monkeypatch.undo()
+            assert fired and index.num_samples == target
+            res = eng.what_if(K)
+            want = select_seeds(index.collection_view(), ba_graph.n, K)
+            assert np.array_equal(res.seeds, want.seeds)
+            assert res.coverage == want.covered_samples / target
+        finally:
+            index.close()
 
 
 class TestTopK:
@@ -248,7 +275,7 @@ class TestWhatIfAndMarginal:
             index.manifest["num_samples"] = full_m + 10
             over = eng.marginal_gain(seed_set)
             assert over.num_samples == full_m
-            eng.what_if(K)  # _celf_select clamps the same way
+            eng.what_if(K)  # the selection clamps the same way
 
     def test_marginal_gain_candidates_slice(self, ba_graph, frozen):
         out, _ = frozen
