@@ -14,6 +14,7 @@ import numpy as np
 
 from ..graph import CSRGraph
 from ..rng import SplitMix64
+from .frontier import sorted_unique
 
 __all__ = ["ic_trial"]
 
@@ -60,6 +61,6 @@ def ic_trial(
         cand = dst[hit & ~active[dst]]
         if len(cand) == 0:
             break
-        frontier = np.unique(cand)
+        frontier = sorted_unique(cand)
         active[frontier] = True
     return np.flatnonzero(active).astype(np.int64)

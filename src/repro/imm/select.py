@@ -12,15 +12,15 @@ membership counts, then each iteration's decrement) and applies the
 vector sent back: a local caller returns it unchanged
 (:func:`run_local`), :func:`repro.mpi.imm_dist` returns its All-Reduced
 sum over ranks.  The layouts differ only in the *cover index* they hand
-the kernel — which samples contain a vertex (``hits_of``) and which
-vertices a set of killed samples holds (``members_of``):
+the kernel — which samples contain a vertex (``hits_of``) and how many
+of a set of killed samples hold each vertex (``member_counts``):
 
 * :class:`FlatCover` — flat incidence arrays ``(flat, indptr,
   sample_of)``: the sorted layout, frozen serving prefixes and
-  ``imm_dist`` partitions.  One stable argsort groups the entries by
+  ``imm_dist`` partitions.  One key sort groups the sample ids by
   vertex.
 * :class:`CompressedCover` — the coded stream, parsed once per selection
-  (HBMax-style); one key sort groups the parsed entries by rank.
+  (HBMax-style); the same key sort groups the parsed entries by rank.
 * :class:`HypergraphCover` — the bidirectional reference layout's own
   vertex→samples inverted index, the way Tang et al.'s code selects.
 
@@ -109,6 +109,18 @@ class SelectionResult:
 # -- cover indexes -----------------------------------------------------------
 
 
+def _key_sort(groups: np.ndarray, sample_of: np.ndarray, m: int) -> np.ndarray:
+    """The sample ids of ``m`` samples' entries grouped by ``groups``
+    (each entry's vertex or rank), ascending within each group: one sort
+    of the packed key ``group·m + sample``, decoded in place."""
+    m = max(m, 1)
+    keys = np.multiply(groups, m, dtype=np.int64)
+    keys += sample_of
+    keys.sort()
+    np.remainder(keys, m, out=keys)
+    return keys
+
+
 class _RowCover:
     """A layout whose sample rows are ranges ``[indptr[j], indptr[j+1])``
     of one entry array; the kill pass gathers them with one in-place
@@ -130,10 +142,10 @@ class _RowCover:
 class FlatCover(_RowCover):
     """Cover index over flat incidence arrays ``(flat, indptr, sample_of)``.
 
-    The vertex → entry-position index is one stable argsort of ``flat``:
-    positions ascend within each vertex, so the sample ids a vertex hits
-    ascend too and a prefix cut is one ``searchsorted``.  :meth:`prefix`
-    shares the index with a view over the first ``m`` samples.
+    The vertex → samples index is one :func:`_key_sort`: the sample ids
+    a vertex hits ascend, so ``hits_of`` is a slice and a prefix cut is
+    one ``searchsorted``.  :meth:`prefix` shares the index with a view
+    over the first ``m`` samples.
     """
 
     def __init__(
@@ -143,7 +155,7 @@ class FlatCover(_RowCover):
         self.flat, self.indptr, self.sample_of = flat, indptr, sample_of
         self.num_samples = len(indptr) - 1
         self.total_entries = len(flat)
-        self._order = np.argsort(flat, kind="stable")
+        self._hits = _key_sort(flat, sample_of, self.num_samples)
         self._all_counts = np.bincount(flat, minlength=n)
         self._vert_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(self._all_counts, out=self._vert_indptr[1:])
@@ -165,13 +177,13 @@ class FlatCover(_RowCover):
         return np.bincount(self.flat[: self.total_entries], minlength=self.n)
 
     def hits_of(self, v: int) -> np.ndarray:
-        pos = self._order[self._vert_indptr[v] : self._vert_indptr[v + 1]]
+        hits = self._hits[self._vert_indptr[v] : self._vert_indptr[v + 1]]
         if self.total_entries < len(self.flat):
-            pos = pos[: int(np.searchsorted(pos, self.total_entries))]
-        return self.sample_of[pos]
+            hits = hits[: int(np.searchsorted(hits, self.num_samples))]
+        return hits
 
-    def members_of(self, killed: np.ndarray) -> np.ndarray:
-        return self.flat[self._rows(killed)]
+    def member_counts(self, killed: np.ndarray) -> np.ndarray:
+        return np.bincount(self.flat[self._rows(killed)], minlength=self.n)
 
 
 class CompressedCover(_RowCover):
@@ -180,10 +192,10 @@ class CompressedCover(_RowCover):
     The collection's flat int32 rows are never materialized: one
     vectorized varint parse yields every entry's rank, one key sort
     (``rank · m + sample``) groups the sample ids by rank with ascending
-    ids inside each group, and the kill pass gathers the killed samples'
-    ranks from that single parse and inverts them to vertex ids.  The
-    parsed entries live only as long as the cover; the collection stays
-    coded.
+    ids inside each group, and the kill pass counts the killed samples'
+    ranks from that single parse and moves the ``n`` counts to vertex
+    space.  The parsed entries live only as long as the cover; the
+    collection stays coded.
     """
 
     def __init__(self, collection: CompressedRRRCollection, n: int) -> None:
@@ -194,24 +206,23 @@ class CompressedCover(_RowCover):
         self.indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(sizes, out=self.indptr[1:])
         self._ranks = ranks
-        self._invert = collection._invert
         self._rank_of = collection._rank_of
+        self._vertex_of = collection._invert(np.arange(n, dtype=np.int64))
         rank_counts = np.bincount(ranks, minlength=n)
-        # Vertex-space counts: ``bincount(_invert(ranks))`` without the
-        # entry-length temporary.
-        self._counts = np.zeros(n, dtype=np.int64)
-        self._counts[self._invert(np.arange(n, dtype=np.int64))] = rank_counts
+        self._counts = self._in_vertex_space(rank_counts)
         self._rank_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(rank_counts, out=self._rank_indptr[1:])
-        if m:
-            keys = np.repeat(np.arange(m, dtype=np.int64), sizes)
-            keys += ranks * m
-            keys.sort()
-            np.remainder(keys, m, out=keys)
-        else:
-            keys = np.empty(0, dtype=np.int64)
-        self._hits = keys
+        self._hits = _key_sort(
+            ranks, np.repeat(np.arange(m, dtype=np.int64), sizes), m
+        )
         self._scratch = np.empty(0, dtype=np.int64)
+
+    def _in_vertex_space(self, rank_counts: np.ndarray) -> np.ndarray:
+        """Per-rank counts re-indexed by vertex id: ``bincount(_invert(
+        ranks))`` without inverting every entry."""
+        out = np.empty(self.n, dtype=np.int64)
+        out[self._vertex_of] = rank_counts
+        return out
 
     def counts(self) -> np.ndarray:
         return self._counts
@@ -220,8 +231,9 @@ class CompressedCover(_RowCover):
         r = int(self._rank_of[v])
         return self._hits[self._rank_indptr[r] : self._rank_indptr[r + 1]]
 
-    def members_of(self, killed: np.ndarray) -> np.ndarray:
-        return self._invert(self._ranks[self._rows(killed)])
+    def member_counts(self, killed: np.ndarray) -> np.ndarray:
+        ranks = self._ranks[self._rows(killed)]
+        return self._in_vertex_space(np.bincount(ranks, minlength=self.n))
 
 
 class HypergraphCover:
@@ -240,8 +252,9 @@ class HypergraphCover:
     def hits_of(self, v: int) -> np.ndarray:
         return np.asarray(self._coll.samples_containing(v), dtype=np.int64)
 
-    def members_of(self, killed: np.ndarray) -> np.ndarray:
-        return np.concatenate([self._coll[s] for s in killed])
+    def member_counts(self, killed: np.ndarray) -> np.ndarray:
+        members = np.concatenate([self._coll[s] for s in killed])
+        return np.bincount(members, minlength=self.n)
 
     @property
     def sizes(self) -> np.ndarray:
@@ -267,7 +280,7 @@ def _decrement(cover, killed: np.ndarray) -> np.ndarray:
     """Membership counts of the killed samples' vertices."""
     if len(killed) == 0:
         return np.zeros(cover.n, dtype=np.int64)
-    return np.bincount(cover.members_of(killed), minlength=cover.n)
+    return cover.member_counts(killed)
 
 
 def greedy_cover(

@@ -35,8 +35,9 @@ to what the serial sampler produces for the same sample:
   exact serial position.  The only requirement is reproducing the
   serial coin **order**, which is fixed by two invariants the fused
   traversal maintains: each sample's frontier is sorted by vertex id at
-  every level (the serial ``np.unique``), and a frontier vertex's
-  in-edges are examined in CSR slot order.
+  every level (both samplers dedupe a level's candidates with the same
+  :func:`~repro.diffusion.frontier.sorted_unique`), and a frontier
+  vertex's in-edges are examined in CSR slot order.
 * **LT**: each step consumes one variate from the sample's stream; the
   batched walker computes it at the same counter position.  Both
   samplers pick the live edge against the *same* precomputed per-vertex
@@ -60,6 +61,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..diffusion import DiffusionModel
+from ..diffusion.frontier import sorted_unique
 from ..graph import CSRGraph
 from ..rng.splitmix import mix64_array
 from ..rng.streams import stream_seeds_array
@@ -255,16 +257,14 @@ class BatchedRRRSampler:
         """The epoch-stamped visited scratch, grown to ``cohort × n``.
 
         int32 stamps halve the random-access traffic of the visited
-        probes; the IC traversal consumes one stamp per BFS *level* (its
-        frontiers are recovered by scanning for the level's stamp), so
-        the wrap refill triggers with a wide safety margin left before
-        the int32 ceiling.  Either way stale marks can never alias.
+        probes.  Each cohort takes one stamp, and the array is refilled
+        before the stamps would wrap, so stale marks can never alias.
         """
         need = cohort * max(self.graph.n, 1)
         if (
             self._mark is None
             or len(self._mark) < need
-            or self._epoch >= np.iinfo(np.int32).max - (1 << 22)
+            or self._epoch >= np.iinfo(np.int32).max
         ):
             size = need if self._mark is None else max(need, len(self._mark))
             self._mark = np.full(size, -1, dtype=np.int32)
@@ -304,17 +304,17 @@ class BatchedRRRSampler:
         # Root draw == SplitMix64.randint(0, n): output 1, mod n.
         roots = (mix64_array(sd + _GAMMA) % np.uint64(n)).astype(kd)
         ctr = np.ones(B, dtype=np.int64)  # the root consumed one output
-        mark, cohort_floor = self._fresh_epoch(B)
+        mark, epoch = self._fresh_epoch(B)
         mark_live = mark[: B * n]
 
         root_keys = np.arange(B, dtype=kd) * kd(n) + roots
-        mark_live[root_keys] = cohort_floor
+        mark_live[root_keys] = epoch
         visited_keys = [root_keys]
         per_edges = np.zeros(B, dtype=np.int64)
 
         # Frontier as parallel (sample, vertex) arrays, kept sorted by
         # (sample, vertex) — the invariant matching the serial sampler's
-        # per-level ``np.unique`` order.
+        # per-level sorted frontier.
         f_sample = np.arange(B, dtype=kd)
         f_vertex = roots
         indptr = g.in_indptr
@@ -388,26 +388,13 @@ class BatchedRRRSampler:
             cand_keys = f_sample[hit_pair] * kd(n) + g.in_indices[
                 off[hit_idx]
             ].astype(kd, copy=False)
-            cand_keys = cand_keys[mark_live[cand_keys] < cohort_floor]
+            cand_keys = cand_keys[mark_live[cand_keys] != epoch]
             if len(cand_keys) == 0:
                 break
-            if len(cand_keys) << 6 >= len(mark_live):
-                # Sort-free frontier dedup for busy levels: stamp the
-                # surviving candidates with a fresh per-level stamp,
-                # then scan the (cache-sized) mark prefix for it —
-                # ``flatnonzero`` hands back the keys already unique
-                # and ascending, i.e. exactly the next frontier in the
-                # serial ``np.unique`` order, without sorting anything.
-                # Visited-this-cohort stays ``mark >= cohort_floor``
-                # since stamps only grow.
-                self._epoch += 1
-                stamp = self._epoch
-                mark_live[cand_keys] = stamp
-                new_keys = np.flatnonzero(mark_live == stamp).astype(kd, copy=False)
-            else:
-                # Sparse tail levels: a small sort beats an O(B·n) scan.
-                new_keys = np.unique(cand_keys)
-                mark_live[new_keys] = cohort_floor
+            # Keys ascend as (sample, vertex): exactly the serial
+            # sampler's per-level sorted frontier, for every sample.
+            new_keys = sorted_unique(cand_keys)
+            mark_live[new_keys] = epoch
             visited_keys.append(new_keys)
             f_sample, f_vertex = np.divmod(new_keys, kd(n))
         return self._assemble(visited_keys, B, per_edges)

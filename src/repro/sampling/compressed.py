@@ -40,9 +40,11 @@ subtypes) instead of returning garbage — a truncated stream (final byte
 still has its continuation bit set) is distinguished from a corrupt one
 (ranks out of range, zero deltas, offsets disagreeing with the bytes).
 
-Both codec directions are vectorized: a byte-position loop of at most
-:data:`MAX_VARINT_BYTES` iterations replaces any per-value Python loop,
-so encode/decode run at NumPy speed over whole cohorts.
+Both codec directions are vectorized, so encode/decode run at NumPy
+speed over whole cohorts: encoding loops over at most
+:data:`MAX_VARINT_BYTES` byte positions, and decoding gathers every
+value's terminal byte at once, then folds the rare continuation bytes
+into their values.
 """
 
 from __future__ import annotations
@@ -133,28 +135,44 @@ def encode_varints(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _values_from_terminals(buf: np.ndarray, terminal: np.ndarray) -> np.ndarray:
-    """Decode values given the per-byte terminal mask (vectorized OR-fold)."""
-    ends = np.flatnonzero(terminal)
-    starts = np.empty(len(ends), dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    max_len = int(lengths.max())
+def _decode_segments(
+    buf: np.ndarray, terminal: np.ndarray, seg_ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode values given the per-byte terminal mask; also count the
+    values of each byte segment ``[seg_ends[i-1], seg_ends[i])``.
+
+    Every value's terminal byte is its top limb, so one masked gather
+    decodes the dominant 1-byte values outright.  The rare continuation
+    bytes are then folded into their owners: the value a continuation
+    byte belongs to is its position minus the continuation bytes before
+    it, and its limb index is its rank within its owner's run.  A
+    segment's value count is likewise its byte count minus its
+    continuation bytes.
+    """
+    values = (buf[terminal] & 0x7F).astype(np.int64)
+    cont = np.flatnonzero(~terminal)
+    counts = np.diff(seg_ends - np.searchsorted(cont, seg_ends), prepend=0)
+    if len(cont) == 0:
+        return values, counts
+    seq = np.arange(len(cont))
+    owner = cont - seq
+    is_first = np.empty(len(cont), dtype=bool)
+    is_first[0] = True
+    np.not_equal(owner[1:], owner[:-1], out=is_first[1:])
+    first = np.flatnonzero(is_first)
+    runs = np.diff(first, append=len(cont))
+    max_len = int(runs.max()) + 1
     if max_len > MAX_VARINT_BYTES:
         raise CorruptCodedStreamError(
             f"varint of {max_len} bytes exceeds the {MAX_VARINT_BYTES}-byte "
             "bound — the stream was not produced by this encoder"
         )
-    # Limb 0 exists for every value — a direct gather, no mask.  Higher
-    # limbs are indexed by the (typically small) set of longer varints:
-    # integer indices beat an almost-all-False boolean mask there, and
-    # the dominant all-1-byte case never enters the loop at all.
-    values = (buf[starts] & 0x7F).astype(np.int64)
-    for j in range(1, max_len):
-        m = np.flatnonzero(lengths > j)
-        values[m] |= (buf[starts[m] + j].astype(np.int64) & 0x7F) << (7 * j)
-    return values
+    limb = seq - np.repeat(first, runs)
+    low = (buf[cont] & 0x7F).astype(np.int64) << (7 * limb)
+    top = owner[first]
+    values[top] <<= 7 * runs
+    values[top] |= np.add.reduceat(low, first)
+    return values, counts
 
 
 def decode_varints(buf: np.ndarray) -> np.ndarray:
@@ -172,7 +190,8 @@ def decode_varints(buf: np.ndarray) -> np.ndarray:
             "coded stream ends inside a varint (continuation bit set on "
             "the final byte)"
         )
-    return _values_from_terminals(buf, terminal)
+    values, _ = _decode_segments(buf, terminal, np.asarray([len(buf)]))
+    return values
 
 
 def _concat_ranges(
@@ -198,14 +217,16 @@ def _concat_ranges(
 
 
 def _segmented_ranks(deltas: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Undo gap coding per sample: cumulative-sum the deltas, then
-    subtract each sample's carried-in prefix total."""
-    csum = np.cumsum(deltas)
-    entry_ends = np.cumsum(counts)
-    base = np.empty(len(counts), dtype=np.int64)
-    base[0] = 0
-    base[1:] = csum[entry_ends[:-1] - 1]
-    return csum - np.repeat(base, counts)
+    """Undo gap coding per sample, in place: subtract the previous
+    sample's delta total (its last rank) from each sample's first delta,
+    so one cumulative sum over the whole stream restarts at every
+    sample.  Every count must be positive."""
+    starts = np.cumsum(counts)
+    starts -= counts
+    totals = np.add.reduceat(deltas, starts)
+    deltas[starts[1:]] -= totals[:-1]
+    np.cumsum(deltas, out=deltas)
+    return deltas
 
 
 class CompressedRRRCollection(RRRCollection):
@@ -460,16 +481,21 @@ class CompressedRRRCollection(RRRCollection):
                 "coded stream ends inside a varint (continuation bit set "
                 "on the final byte)"
             )
-        starts = np.zeros(self._num, dtype=np.int64)
-        starts[1:] = self._ends[: self._num - 1]
-        if int(self._ends[self._num - 1]) != self._bytes or (
-            self._num > 1 and np.any(np.diff(self._ends[: self._num]) <= 0)
+        ends = self._ends[: self._num]
+        if (
+            int(ends[0]) <= 0
+            or int(ends[-1]) != self._bytes
+            or (self._num > 1 and np.any(np.diff(ends) <= 0))
         ):
             raise CorruptCodedStreamError(
                 "per-sample offset index disagrees with the coded bytes"
             )
-        deltas = _values_from_terminals(buf, terminal)
-        counts = np.add.reduceat(terminal.astype(np.int64), starts)
+        # Every sample's bytes end on a value, so no count below is 0.
+        if not terminal[ends - 1].all():
+            raise CorruptCodedStreamError(
+                "a sample's coded bytes end inside a varint"
+            )
+        deltas, counts = _decode_segments(buf, terminal, ends)
         ranks = _segmented_ranks(deltas, counts)
         if int(ranks.max()) >= self.n or int(ranks.min()) < 0:
             raise CorruptCodedStreamError(
@@ -497,14 +523,12 @@ class CompressedRRRCollection(RRRCollection):
             raise TruncatedCodedStreamError(
                 "coded sample span ends inside a varint"
             )
-        span_starts = np.zeros(len(ids), dtype=np.int64)
-        np.cumsum((byte_stops - byte_starts)[:-1], out=span_starts[1:])
-        if not terminal[span_starts - 1].all():  # index -1 is the final byte
+        span_ends = np.cumsum(byte_stops - byte_starts)
+        if not terminal[span_ends - 1].all():
             raise CorruptCodedStreamError(
                 "a sample's coded bytes end inside a varint"
             )
-        deltas = _values_from_terminals(span, terminal)
-        counts = np.add.reduceat(terminal.astype(np.int64), span_starts)
+        deltas, counts = _decode_segments(span, terminal, span_ends)
         ranks = _segmented_ranks(deltas, counts)
         if int(ranks.max()) >= self.n or int(ranks.min()) < 0:
             raise CorruptCodedStreamError(

@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..diffusion import DiffusionModel
+from ..diffusion.frontier import sorted_unique
 from ..graph import CSRGraph
 from ..rng import SplitMix64
 from ..rng.splitmix import mix64_array
@@ -172,7 +173,7 @@ class RRRSampler:
             cand = cand[mark[cand] != epoch]
             if len(cand) == 0:
                 break
-            frontier = np.unique(cand) if len(cand) > 1 else cand
+            frontier = sorted_unique(cand)
             mark[frontier] = epoch
             visited.append(frontier)
         if len(visited) == 1:

@@ -20,6 +20,7 @@ byte-model drift            ``collection.byte-model`` invariant
 dropped inverted entry      ``collection.inverted-index`` invariant
 skipped counter decrement   ``selection.reference``
 biased RNG draw             bitwise collection comparison
+frontier keeps duplicates   ``oracle.collection-bitwise``
 recovery skips a sample     ``recovery.rebuild-count``
 wrong-stream replay         ``recovery.rebuild-bitwise``
 double-count after shrink   ``recovery.degraded-accounting``
@@ -47,7 +48,7 @@ invariants exist to catch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -265,6 +266,40 @@ def _mutant_biased_rng(seed: int) -> MutantResult:
             if diverged
             else "biased sampler reproduced the reference collection"
         ),
+    )
+
+
+def _sort_keeping_duplicates(keys: np.ndarray) -> np.ndarray:
+    keys.sort()
+    return keys
+
+
+def _mutant_frontier_duplicates(seed: int) -> MutantResult:
+    """The cohort kernel's frontier dedupe sorts but drops its
+    adjacent-compare mask, so a ``(sample, vertex)`` pair reached twice
+    in one level sits in the frontier twice and re-examines its
+    in-edges with fresh coins.  The fault is patched into the batched
+    module only, so the serial sampler still dedupes and the oracle's
+    batched-vs-serial axis must see the difference."""
+    from ..sampling import batched as batched_mod
+    from .oracle import _check_sampling_equivalence, quick_config
+
+    graph = load(_MUTATION_DATASET, "IC")
+    cfg = replace(quick_config(), seed=seed)
+    dedupe = batched_mod.sorted_unique
+    batched_mod.sorted_unique = _sort_keeping_duplicates
+    try:
+        report, _ = _check_sampling_equivalence(
+            graph, "IC", _MUTATION_THETA, cfg, "mutant"
+        )
+    finally:
+        batched_mod.sorted_unique = dedupe
+    detected, evidence = _violated(report, "oracle.collection-bitwise")
+    return MutantResult(
+        "frontier-dedupe-keeps-duplicates",
+        "cohort kernel's frontier keeps duplicate (sample, vertex) pairs",
+        detected,
+        evidence,
     )
 
 
@@ -822,6 +857,7 @@ _MUTANTS = {
     "inverted-index-drop": _mutant_inverted_index,
     "skipped-decrement": _mutant_skipped_decrement,
     "biased-rng": _mutant_biased_rng,
+    "frontier-dedupe-keeps-duplicates": _mutant_frontier_duplicates,
     "recovery-skips-sample": _mutant_recovery_skip,
     "wrong-stream-replay": _mutant_wrong_stream,
     "double-count-after-shrink": _mutant_double_count,

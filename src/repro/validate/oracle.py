@@ -223,9 +223,18 @@ def _check_sampling_equivalence(
         sub = f"{subject} cohort={cohort}"
         coll = SortedRRRCollection(graph.n)
         sampler = BatchedRRRSampler(graph, model, max_cohort=max(1, cohort))
-        batch = sample_batch(
-            graph, model, coll, theta, cfg.seed, sampler=sampler, engine="batched"
-        )
+        try:
+            batch = sample_batch(
+                graph, model, coll, theta, cfg.seed, sampler=sampler, engine="batched"
+            )
+        except ValueError as exc:  # landing rejected the cohort's samples
+            rep.check(
+                False,
+                "oracle.collection-bitwise",
+                sub,
+                f"batched engine produced samples the sorted layout rejects: {exc}",
+            )
+            continue
         rep.merge(check_collection(coll, sub))
         flat, indptr, _ = coll.flattened()
         rep.check(

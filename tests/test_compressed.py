@@ -124,6 +124,18 @@ class TestDecodeFuzz:
             coll[0]
 
 
+    def test_sample_boundary_inside_varint_rejected(self):
+        coll = CompressedRRRCollection(300)
+        coll.adopt_permutation(np.arange(300))
+        coll.append(np.array([0, 250], np.int32))  # gap 250: a 2-byte varint
+        coll.append(np.array([1], np.int32))
+        coll._ends[0] -= 1  # sample 0 now ends on a continuation byte
+        with pytest.raises(CorruptCodedStreamError):
+            coll.parse_stream()
+        with pytest.raises(CorruptCodedStreamError):
+            coll.decode_samples(np.array([0, 1]))
+
+
 class TestCompressedCollection:
     def test_append_and_iterate(self):
         coll = build(SETS)
@@ -142,6 +154,28 @@ class TestCompressedCollection:
         sorted_coll = SortedRRRCollection(6)
         sorted_coll.extend(SETS)
         assert build(SETS).counters().tolist() == sorted_coll.counters().tolist()
+
+    def test_multi_byte_parse_matches_samples(self):
+        """The bulk parse restarts its running sum at every sample and
+        folds 2- and 3-byte varints into their values."""
+        rng = np.random.default_rng(8)
+        n = 1 << 17
+        sets = [
+            np.unique(rng.integers(0, n, size=int(rng.integers(1, 9))))
+            for _ in range(200)
+        ]
+        coll = build(sets, n)
+        coll.freeze_permutation()
+        assert coll.coded_bytes > coll.total_entries  # multi-byte varints
+        ranks, counts = coll.parse_stream()
+        assert counts.tolist() == [len(s) for s in sets]
+        verts = coll._vertex_of[ranks]
+        bounds = np.cumsum(counts)[:-1]
+        for got, want in zip(np.split(verts, bounds), sets):
+            assert np.sort(got).tolist() == want.tolist()
+        sorted_coll = SortedRRRCollection(n)
+        sorted_coll.extend(sets)
+        np.testing.assert_array_equal(coll.counters(), sorted_coll.counters())
 
     def test_append_batch_matches_appends(self):
         a = build(SETS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.diffusion import ic_trial
+from repro.diffusion.frontier import sorted_unique
 from repro.graph import complete_graph, constant_weights, from_edge_list, path_graph
 from repro.rng import SplitMix64
 
@@ -70,3 +71,32 @@ class TestICTrial:
             for i in range(2000)
         )
         assert 0.45 < hits / 2000 < 0.55
+
+
+class TestSortedUnique:
+    """The frontier dedupe every IC traversal shares must equal
+    ``np.unique`` exactly: values, order and dtype."""
+
+    CASES = {
+        "empty": [],
+        "single": [7],
+        "all-duplicate": [3, 3, 3, 3],
+        "already-unique": [0, 2, 5, 9, 11],
+        "mixed": [9, 2, 9, 0, 5, 2, 2, 11, 0],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_np_unique(self, case, dtype):
+        keys = np.asarray(self.CASES[case], dtype=dtype)
+        want = np.unique(keys)
+        got = sorted_unique(keys.copy())
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_random_keys(self, dtype):
+        rng = np.random.default_rng(3)
+        for size in (2, 150, 660, 5000):
+            keys = rng.integers(0, size // 2 + 1, size).astype(dtype)
+            np.testing.assert_array_equal(sorted_unique(keys.copy()), np.unique(keys))

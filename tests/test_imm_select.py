@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.imm import select_seeds
+from repro.imm.select import FlatCover
 from repro.sampling import (
     CompressedRRRCollection,
     HypergraphRRRCollection,
@@ -108,6 +109,39 @@ class TestGreedyCorrectness:
         assert len(sel.seeds) == 3
         assert len(set(sel.seeds.tolist())) == 3  # no duplicate seeds
         assert sel.covered_samples == 2
+
+
+class TestFlatCoverIndex:
+    """``hits_of`` must equal the grouping a stable argsort of ``flat``
+    gives, on the full index and on every prefix view."""
+
+    @staticmethod
+    def _argsort_hits(flat, sample_of, v, m):
+        order = np.argsort(flat, kind="stable")
+        hits = sample_of[order][flat[order] == v]
+        return hits[hits < m]
+
+    @pytest.mark.parametrize("trial", range(4))
+    def test_hits_equal_stable_argsort_grouping(self, trial):
+        rng = np.random.default_rng(trial)
+        n = int(rng.integers(5, 40))
+        sets = [
+            rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+            for _ in range(int(rng.integers(1, 60)))
+        ]
+        flat, indptr, sample_of = build(sets, n, "sorted").flattened()
+        cover = FlatCover(n, flat, indptr, sample_of)
+        m_all = len(sets)
+        for m in sorted({0, 1, m_all // 2, m_all - 1, m_all, m_all + 5}):
+            view = cover.prefix(m)
+            for v in range(n):
+                want = self._argsort_hits(flat, sample_of, v, min(m, m_all))
+                np.testing.assert_array_equal(view.hits_of(v), want)
+
+    def test_empty_collection(self):
+        flat, indptr, sample_of = SortedRRRCollection(4).flattened()
+        cover = FlatCover(4, flat, indptr, sample_of)
+        assert all(len(cover.hits_of(v)) == 0 for v in range(4))
 
 
 class TestLayoutEquivalence:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import load, names
+from repro.graph import constant_weights, erdos_renyi
 from repro.rng import sample_stream
 from repro.sampling import (
     BatchedRRRSampler,
@@ -139,3 +140,27 @@ def test_in_edge_cumweights_bit_exact():
                 np.testing.assert_array_equal(
                     cum[lo:hi], np.cumsum(g.in_probs[lo:hi])
                 )
+
+
+def test_dense_levels_match_serial():
+    """Busy levels, far above ``B·n/64`` candidates (the size at which an
+    earlier kernel switched to a separate dedupe), stay bit-identical to
+    the serial sampler.  With p = 0.3 on a 20-in-degree random graph most
+    samples reach most of the graph, so a level holds thousands of
+    candidate pairs against a ``B·n/64 = 150`` threshold."""
+    graph = constant_weights(erdos_renyi(200, 0.1, seed=5), 0.3)
+    count = 48
+    serial = SortedRRRCollection(graph.n)
+    cohort = SortedRRRCollection(graph.n)
+    ref = sample_batch(
+        graph, "IC", serial, count, SEED,
+        sampler=RRRSampler(graph, "IC"), engine="serial",
+    )
+    got = sample_batch(
+        graph, "IC", cohort, count, SEED,
+        sampler=BatchedRRRSampler(graph, "IC", max_cohort=count), engine="batched",
+    )
+    assert serial.total_entries > count * graph.n // 2  # the levels were busy
+    np.testing.assert_array_equal(got.per_sample_edges, ref.per_sample_edges)
+    for a, b in zip(serial.flattened(), cohort.flattened()):
+        np.testing.assert_array_equal(a, b)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.graph import CSRGraph
 from repro.imm import imm
+from repro.imm import select as select_mod
 from repro.imm.select import select_seeds
 from repro.serving import (
     FrozenIndexError,
@@ -84,23 +85,23 @@ class TestCoverCache:
         """An extension that lands while a query builds the cover index
         must not leave that pre-extension index serving later queries:
         they would miss the new samples' entries.  The extension is
-        triggered from inside the index build's argsort."""
+        triggered from inside the index build's key sort."""
         index, _ = freeze_index(
             ba_graph, K, EPS, "IC", SEED, theta_cap=CAP, out_dir=tmp_path / "i"
         )
         try:
             eng = InfluenceQueryEngine(index, graph=ba_graph)
             target = index.num_samples + 200
-            argsort, fired = np.argsort, []
+            key_sort, fired = select_mod._key_sort, []
 
-            def argsort_then_extend(*args, **kwargs):
-                order = argsort(*args, **kwargs)
+            def key_sort_then_extend(*args, **kwargs):
+                hits = key_sort(*args, **kwargs)
                 if not fired:
                     fired.append(True)
                     eng._ensure_samples(target, allow_extend=True)
-                return order
+                return hits
 
-            monkeypatch.setattr(np, "argsort", argsort_then_extend)
+            monkeypatch.setattr(select_mod, "_key_sort", key_sort_then_extend)
             eng.what_if(K)  # builds over the pre-extension mapping
             monkeypatch.undo()
             assert fired and index.num_samples == target

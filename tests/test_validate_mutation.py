@@ -21,6 +21,7 @@ EXPECTED_MUTANTS = {
     "inverted-index-drop",
     "skipped-decrement",
     "biased-rng",
+    "frontier-dedupe-keeps-duplicates",
     "recovery-skips-sample",
     "wrong-stream-replay",
     "double-count-after-shrink",
