@@ -5,9 +5,9 @@ Subcommands mirror the tool surface the paper's framework exposes:
 * ``repro-imm datasets`` — list the registered stand-ins with their
   Table 2 metadata;
 * ``repro-imm run`` — run a chosen IMM variant on a dataset or edge
-  list, printing seeds, θ, phase breakdown and optional spread; with
-  ``--supervise`` the process pool self-heals (``--spares``,
-  ``--deadline``, ``--checkpoint-out``/``--resume-from``);
+  list, printing seeds, θ, phase breakdown and optional spread; the
+  process pool heals worker crashes, and ``--spares``, ``--deadline``
+  and ``--checkpoint-out``/``--resume-from`` tune its recovery;
 * ``repro-imm spread`` — Monte-Carlo spread of an explicit seed set;
 * ``repro-imm sweep`` — IMM across several k values with one shared RRR
   collection (the "multiple k values" workflow of the paper's intro);
@@ -77,7 +77,7 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def _supervisor_opts(args: argparse.Namespace) -> dict | None:
-    """Collect the supervision knobs of ``run`` into ``supervisor_opts``."""
+    """Collect the engine recovery knobs of ``run`` into ``supervisor_opts``."""
     opts: dict = {}
     if args.spares is not None:
         opts["spares"] = args.spares
@@ -87,20 +87,18 @@ def _supervisor_opts(args: argparse.Namespace) -> dict | None:
         opts["checkpoint_dir"] = args.checkpoint_out
     if args.resume_from:
         opts["resume_from"] = args.resume_from
-    if opts and not args.supervise:
+    if opts and args.variant != "serial":
         raise SystemExit(
-            "--spares/--deadline/--checkpoint-out/--resume-from require --supervise"
+            "--spares/--deadline/--checkpoint-out/--resume-from apply to the "
+            "serial variant (the real process-pool sampling path); the dist "
+            "variant has its own --fault-plan/--policy resilience under "
+            "`repro-imm dist`"
         )
     return opts or None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.supervise and args.variant != "serial":
-        raise SystemExit(
-            "--supervise applies to the serial variant (the real process-pool "
-            "sampling path); the dist variant has its own --fault-plan/--policy "
-            "resilience under `repro-imm dist`"
-        )
+    supervisor_opts = _supervisor_opts(args)
     graph = _load_graph(args)
     stats = graph_stats(graph)
     print(f"graph: n={stats.nodes} m={stats.edges} avg_deg={stats.avg_degree:.2f}")
@@ -116,8 +114,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 layout=args.layout,
                 theta_cap=args.theta_cap,
                 workers=args.workers,
-                supervise=args.supervise,
-                supervisor_opts=_supervisor_opts(args),
+                supervisor_opts=supervisor_opts,
             )
         if args.variant == "mt":
             return imm_mt(
@@ -169,20 +166,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f" ipc_bytes={eng['ipc_descriptor_bytes']}"
             f" chunk={eng['chunk_initial']}->{eng['chunk_final']}"
         )
-    sup = result.extra.get("supervisor")
-    if sup:
+    if eng and (eng["crashes_observed"] or eng["speculative_launched"]
+                or eng["resumed_samples"]):
         print(
-            f"  supervisor: crashes={sup['crashes_observed']}"
-            f" rebuilds={sup['rebuilds']} replayed={sup['blocks_replayed']}"
-            f" speculative_wins={sup['speculative_wins']}"
-            f" resumed={sup['resumed_samples']}"
-            f" count_fallbacks={sup['count_fallbacks']}"
+            f"  recovery: crashes={eng['crashes_observed']}"
+            f" rebuilds={eng['rebuilds']} replayed={eng['blocks_replayed']}"
+            f" speculative_wins={eng['speculative_wins']}"
+            f" resumed={eng['resumed_samples']}"
+            f" count_fallbacks={eng['count_fallbacks']}"
         )
-        if sup["checkpoint_bytes"]:
-            print(
-                f"  checkpoint: {sup['checkpoint_bytes']} bytes in"
-                f" {sup['checkpoint_seconds']:.4f}s -> {args.checkpoint_out}"
-            )
+    if eng and eng["checkpoint_bytes"]:
+        print(
+            f"  checkpoint: {eng['checkpoint_bytes']} bytes in"
+            f" {eng['checkpoint_seconds']:.4f}s -> {args.checkpoint_out}"
+        )
     if result.extra.get("degraded"):
         print(
             f"DEGRADED: deadline expired with theta_effective="
@@ -217,7 +214,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         theta_cap=args.theta_cap,
         workers=args.workers,
-        supervise=args.supervise,
     )
     print(f"{'k':>5s} {'theta':>8s} {'samples':>8s} {'reused':>8s} {'est.spread':>11s}")
     for res in results:
@@ -633,31 +629,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--machine", choices=tuple(_MACHINES), default="puma")
     p_run.add_argument("--theta-cap", type=int, default=None)
     p_run.add_argument(
-        "--supervise", action="store_true",
-        help="run the sampling pool under the self-healing supervisor "
-        "(crash replay, spare workers, straggler speculation); serial "
-        "variant only, output stays bit-identical",
-    )
-    p_run.add_argument(
         "--spares", type=int, default=None, metavar="N",
         help="pre-spawned idle spare pools promoted on worker crash "
-        "(with --supervise; default 1)",
+        "(serial variant; default 0)",
     )
     p_run.add_argument(
         "--deadline", type=float, default=None, metavar="SECONDS",
         help="overall run deadline; on expiry the run degrades gracefully "
         "to the landed samples and reports theta_effective/epsilon_effective "
-        "(with --supervise)",
+        "(serial variant)",
     )
     p_run.add_argument(
         "--checkpoint-out", default=None, metavar="DIR",
         help="spill landed sample blocks to a durable checkpoint under DIR "
-        "(with --supervise)",
+        "(serial variant)",
     )
     p_run.add_argument(
         "--resume-from", default=None, metavar="DIR",
         help="resume sampling from a checkpoint directory written by "
-        "--checkpoint-out (with --supervise)",
+        "--checkpoint-out (serial variant)",
     )
     p_run.add_argument("--evaluate", action="store_true", help="MC-evaluate the seeds")
     p_run.add_argument("--trials", type=int, default=500)
@@ -680,10 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument(
         "--workers", type=int, default=1,
         help="process-pool size shared across all sweep points",
-    )
-    p_sw.add_argument(
-        "--supervise", action="store_true",
-        help="run the shared pool under the self-healing supervisor",
     )
     p_sw.set_defaults(func=_cmd_sweep)
 

@@ -31,7 +31,7 @@ from ..sampling import (
     SortedRRRCollection,
     sample_batch,
 )
-from ..sampling.supervisor import build_sampling_engine
+from ..sampling.parallel_engine import build_sampling_engine
 from .result import DegradedResult, IMMResult
 from .select import select_seeds
 from .theta import estimate_theta, shrink_epsilon
@@ -51,7 +51,6 @@ def imm(
     theta_cap: int | None = None,
     workers: int = 1,
     start_method: str | None = None,
-    supervise: bool = False,
     supervisor_opts: dict | None = None,
 ) -> IMMResult:
     """Run serial IMM and return the seed set with full diagnostics.
@@ -90,24 +89,23 @@ def imm(
         run — same seeds, θ, and coverage history — only the wall clock
         in ``breakdown`` changes.  Requires ``layout="sorted"`` or
         ``"compressed"``.
-    supervise, supervisor_opts:
-        ``supervise=True`` runs on the self-healing
-        :class:`~repro.sampling.supervisor.SupervisedSamplingEngine`
-        instead: worker crashes are healed by deterministic block replay
-        (bit-identical output), and ``supervisor_opts`` passes through
-        any supervisor keyword — ``spares``, ``crash_budget``,
-        ``deadline``, ``checkpoint_dir``/``resume_from``, ``fault_plan``,
-        straggler-speculation knobs (requires ``layout="sorted"`` or
-        ``"compressed"``).  A ``deadline`` that expires mid-θ
-        returns a :class:`~repro.imm.result.DegradedResult` (seeds
-        selected from the landed prefix, ``theta_effective``/
-        ``epsilon_effective`` from :func:`~repro.imm.theta.shrink_epsilon`)
-        instead of raising.  ``supervise=True`` works for any worker
-        count, including 1 (deadline and checkpointing still apply).
+    supervisor_opts:
+        Keywords for the
+        :class:`~repro.sampling.parallel_engine.ParallelSamplingEngine`
+        that runs the pool — ``spares``, ``crash_budget``, ``deadline``,
+        ``checkpoint_dir``/``resume_from``, ``fault_plan``,
+        straggler-speculation knobs.  Any option builds an engine, also
+        for ``workers=1`` (deadline and checkpointing still apply; requires
+        ``layout="sorted"`` or ``"compressed"``).  The engine heals worker
+        crashes by deterministic block replay (bit-identical output) up
+        to its crash budget.  A ``deadline`` that expires mid-θ returns a
+        :class:`~repro.imm.result.DegradedResult` (seeds selected from
+        the landed prefix, ``theta_effective``/``epsilon_effective`` from
+        :func:`~repro.imm.theta.shrink_epsilon`) instead of raising.
 
     Returns
     -------
-    :class:`IMMResult` (a :class:`DegradedResult` when a supervised run
+    :class:`IMMResult` (a :class:`DegradedResult` when the engine's run
     deadline expired).
     """
     model = DiffusionModel.parse(model)
@@ -118,9 +116,9 @@ def imm(
     elif layout == "compressed":
         collection = CompressedRRRCollection(graph.n)
     elif layout == "hypergraph":
-        if workers > 1 or supervise:
+        if workers > 1 or supervisor_opts:
             raise ValueError(
-                "workers > 1 / supervise=True require layout='sorted' "
+                "workers > 1 / supervisor_opts require layout='sorted' "
                 "or 'compressed'"
             )
         collection = HypergraphRRRCollection(graph.n)
@@ -133,13 +131,12 @@ def imm(
     timer = PhaseTimer()
     counters = WorkCounters()
     engine = None
-    if workers > 1 or supervise:
+    if workers > 1 or supervisor_opts:
         engine = build_sampling_engine(
             graph,
             model,
             workers=workers,
             start_method=start_method,
-            supervise=supervise,
             supervisor_opts=supervisor_opts,
         )
         sampler = engine
@@ -209,16 +206,10 @@ def imm(
             "coverage_history": est.coverage_history,
             "theta_capped": theta_cap is not None and est.theta >= theta_cap,
             "workers": workers,
-            "supervised": supervise,
-            # Per-phase engine counters (arena writes, landing, fused
-            # merges, IPC descriptor bytes) — what the regression
+            # Engine counters (arena writes, landing, fused merges, IPC
+            # descriptor bytes, recoveries) — what the regression
             # harness's worker-scaling breakdown records.
             **({"engine": engine.stats.as_dict()} if engine is not None else {}),
-            **(
-                {"supervisor": engine.stats.as_dict()}
-                if supervise and engine is not None
-                else {}
-            ),
         },
     )
 
@@ -239,7 +230,7 @@ def _degraded_result(
     workers: int,
     engine,
 ) -> DegradedResult:
-    """Convert a supervised deadline expiry into an honest partial result.
+    """Convert an engine deadline expiry into an honest partial result.
 
     Seeds are selected (serially) from the landed in-order prefix, and
     ``epsilon_effective`` is the ε the surviving ``theta_effective · LB``
@@ -285,13 +276,11 @@ def _degraded_result(
         extra={
             "n": n,
             "workers": workers,
-            "supervised": True,
             "degraded": True,
             "theta_effective": theta_eff,
             "lost_samples": theta_target - theta_eff,
             "epsilon_effective": eps_eff,
             "estimation_rounds": est.rounds if est is not None else None,
             "engine": stats,
-            "supervisor": stats,
         },
     )

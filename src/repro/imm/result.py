@@ -92,7 +92,7 @@ class IMMResult:
 class DegradedResult(IMMResult):
     """An honest partial result: the run budget expired mid-θ.
 
-    The supervised engine landed ``theta_effective`` samples before the
+    The pool engine landed ``theta_effective`` samples before the
     deadline; the seed set was selected from that in-order prefix.  The
     full-θ ``(1 - 1/e - eps)`` guarantee is *waived*:
     ``epsilon_effective`` is the ε the surviving ``theta_effective · LB``

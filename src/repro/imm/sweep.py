@@ -32,6 +32,7 @@ from ..sampling import (
     SortedRRRCollection,
     sample_batch,
 )
+from ..sampling.parallel_engine import build_sampling_engine
 from .result import IMMResult
 from .select import select_seeds
 from .theta import estimate_theta
@@ -50,7 +51,6 @@ def imm_sweep(
     theta_cap: int | None = None,
     workers: int = 1,
     start_method: str | None = None,
-    supervise: bool = False,
     supervisor_opts: dict | None = None,
 ) -> list[IMMResult]:
     """Run IMM for every k in ``ks``, sharing one RRR collection.
@@ -68,15 +68,14 @@ def imm_sweep(
         process pool (same bit-identical-output contract as
         ``imm(..., workers=w)``); the pool and its shared-memory CSR are
         paid once for all sweep points.
-    supervise, supervisor_opts:
-        ``supervise=True`` runs the shared engine under the self-healing
-        supervisor (crash replay, spares, optional deadline /
-        checkpointing via ``supervisor_opts`` — see
-        :func:`repro.imm.imm`).  Because the collection is shared, a
-        checkpoint written during a sweep covers every sweep point's
-        samples.  A supervised deadline expiry raises
-        :class:`~repro.sampling.supervisor.DeadlineExceededError` (the
-        sweep has no single-k result to degrade into).
+    supervisor_opts:
+        Keywords for the shared engine (crash budget, spares, optional
+        deadline / checkpointing — see :func:`repro.imm.imm`); any option
+        builds an engine, also for ``workers=1``.  Because the collection
+        is shared, a checkpoint written during a sweep covers every sweep
+        point's samples.  A deadline expiry raises
+        :class:`~repro.sampling.parallel_engine.DeadlineExceededError`
+        (the sweep has no single-k result to degrade into).
 
     Returns
     -------
@@ -99,15 +98,12 @@ def imm_sweep(
     model = DiffusionModel.parse(model)
     collection = SortedRRRCollection(graph.n)
     engine = None
-    if workers > 1 or supervise:
-        from ..sampling.supervisor import build_sampling_engine
-
+    if workers > 1 or supervisor_opts:
         engine = build_sampling_engine(
             graph,
             model,
             workers=workers,
             start_method=start_method,
-            supervise=supervise,
             supervisor_opts=supervisor_opts,
         )
         sampler = engine

@@ -98,7 +98,7 @@ def shrink_epsilon(n: int, k: int, l: float, theta_effective: int, lb: float) ->
     """The ε certified by a ``theta_effective · lb`` sample budget.
 
     Every degraded answer reports its guarantee through this one
-    inversion — the MPI shrink policy, the supervised deadline path and
+    inversion — the MPI shrink policy, the pool engine's deadline path and
     the serving tier's prefix fallbacks: λ*(n, k, ε, l) scales as 1/ε²
     at fixed ``(n, k, l)``, so the ε a surviving budget certifies
     inverts in closed form.

@@ -57,7 +57,7 @@ def checkpoint_seconds(machine: MachineSpec, nbytes: int) -> float:
     The same α–β shape as a collective, but against stable storage:
     ``disk_alpha`` is the fixed fsync/commit latency, ``disk_beta`` the
     per-byte streaming cost.  Cursor-only distributed checkpoints are a
-    few hundred bytes (latency-dominated); the supervised engine's
+    few hundred bytes (latency-dominated); the pool engine's
     block-spill checkpoints stream the collection itself
     (bandwidth-dominated) — one formula prices both regimes.
     """

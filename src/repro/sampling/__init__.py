@@ -46,6 +46,8 @@ from .compressed import (
     encode_varints,
 )
 from .parallel_engine import (
+    CrashBudgetExhaustedError,
+    DeadlineExceededError,
     EngineProtocolError,
     EngineStats,
     ParallelEngineError,
@@ -54,24 +56,16 @@ from .parallel_engine import (
 )
 from .rrr import RRRSampler, generate_rr, in_edge_cumweights
 from .sampler import SampleBatch, sample_batch
-from .supervisor import (
-    CrashBudgetExhaustedError,
-    DeadlineExceededError,
-    SupervisedSamplingEngine,
-    SupervisorStats,
-)
 
 __all__ = [
     "generate_rr",
     "RRRSampler",
     "BatchedRRRSampler",
     "ParallelSamplingEngine",
-    "SupervisedSamplingEngine",
     "ParallelEngineError",
     "WorkerCrashError",
     "EngineProtocolError",
     "EngineStats",
-    "SupervisorStats",
     "CrashBudgetExhaustedError",
     "DeadlineExceededError",
     "BlockCheckpointSink",

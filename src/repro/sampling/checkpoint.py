@@ -1,4 +1,4 @@
-"""Disk-backed block checkpointing for the supervised sampling engine.
+"""Disk-backed block checkpointing for the process-pool sampling engine.
 
 The determinism contract makes sampling checkpoints almost free to
 *describe* — sample ``j`` is a pure function of ``(graph, model, seed,
@@ -235,7 +235,7 @@ class BlockCheckpointSink:
         """Durably spill one landed block and advance the cursor.
 
         ``indices`` are the global sample indices the block covers; they
-        must extend the landed prefix contiguously (the supervisor lands
+        must extend the landed prefix contiguously (the engine lands
         blocks in index order, so this is the natural call pattern).
         """
         if self.readonly or self._closed:

@@ -49,9 +49,41 @@ class RRRCollection:
     bookkeeping operation rather than physical compaction).
     """
 
+    n: int
+
     def append(self, vertices: np.ndarray) -> None:
         """Add one RRR set (a sorted ``int32`` vertex array)."""
         raise NotImplementedError
+
+    def _check_landing(
+        self, flat: np.ndarray, sizes: np.ndarray, total: int | None = None
+    ) -> int:
+        """Reject samples no layout may store; return the incidence count.
+
+        Every layout's ``append`` and ``append_batch`` call this, so all
+        of them accept and reject the same input: each sample non-empty,
+        every id in ``[0, n)``, each sample's ids strictly ascending
+        (sorted and duplicate-free).  Pairs straddling a sample boundary
+        are exempt — a vertex may repeat across consecutive samples.  A
+        caller-declared ``total`` (from a block descriptor) must match
+        the sizes, and ``flat`` must hold exactly that many ids.
+        """
+        if np.any(sizes <= 0):
+            raise ValueError("an RRR set always contains at least its root")
+        actual = int(sizes.sum())
+        if total is not None and total != actual:
+            raise ValueError("declared total disagrees with the sizes payload")
+        if len(flat) != actual:
+            raise ValueError("flat length must equal the sum of sizes")
+        if int(flat.min()) < 0 or int(flat.max()) >= self.n:
+            raise ValueError("RRR vertex id out of range")
+        if actual > len(sizes):  # any sample longer than 1 => check order
+            nonincreasing = np.diff(flat) <= 0
+            if len(sizes) > 1:
+                nonincreasing[np.cumsum(sizes[:-1]) - 1] = False
+            if np.any(nonincreasing):
+                raise ValueError("RRR vertex lists must be sorted and duplicate-free")
+        return actual
 
     def extend(self, sets: Sequence[np.ndarray]) -> None:
         """Add many RRR sets."""
@@ -151,13 +183,7 @@ class SortedRRRCollection(RRRCollection):
 
     def append(self, vertices: np.ndarray) -> None:
         vertices = np.asarray(vertices)
-        if len(vertices) == 0:
-            raise ValueError("an RRR set always contains at least its root")
-        if len(vertices) > 1 and np.any(np.diff(vertices) <= 0):
-            raise ValueError("RRR vertex lists must be sorted and duplicate-free")
-        if vertices[0] < 0 or int(vertices[-1]) >= self.n:
-            raise ValueError("RRR vertex id out of range")
-        size = len(vertices)
+        size = self._check_landing(vertices, np.array([len(vertices)]))
         self._reserve(size, 1)
         e = self._entries
         self._flat[e : e + size] = vertices
@@ -182,26 +208,7 @@ class SortedRRRCollection(RRRCollection):
         sizes = np.asarray(sizes, dtype=np.int64)
         if len(sizes) == 0:
             return
-        if np.any(sizes <= 0):
-            raise ValueError("an RRR set always contains at least its root")
-        actual = int(sizes.sum())
-        if total is not None and total != actual:
-            raise ValueError("declared total disagrees with the sizes payload")
-        total = actual
-        if len(flat) != total:
-            raise ValueError("flat length must equal the sum of sizes")
-        if int(flat.min()) < 0 or int(flat.max()) >= self.n:
-            raise ValueError("RRR vertex id out of range")
-        if total > len(sizes):  # any sample longer than 1 => check sortedness
-            # A pair with diff <= 0 is non-*increasing* (a within-sample
-            # duplicate or inversion); pairs straddling a sample boundary
-            # are exempt, so a vertex may legitimately repeat across
-            # consecutive samples.
-            nonincreasing = np.diff(flat) <= 0
-            boundary = np.zeros(total - 1, dtype=bool)
-            boundary[np.cumsum(sizes[:-1]) - 1] = True
-            if np.any(nonincreasing & ~boundary):
-                raise ValueError("RRR vertex lists must be sorted and duplicate-free")
+        total = self._check_landing(flat, sizes, total)
         count = len(sizes)
         self._reserve(total, count)
         e, s = self._entries, self._num
@@ -284,10 +291,7 @@ class HypergraphRRRCollection(RRRCollection):
 
     def append(self, vertices: np.ndarray) -> None:
         vertices = np.asarray(vertices, dtype=np.int32)
-        if len(vertices) == 0:
-            raise ValueError("an RRR set always contains at least its root")
-        if vertices.min() < 0 or int(vertices.max()) >= self.n:
-            raise ValueError("RRR vertex id out of range")
+        self._check_landing(vertices, np.array([len(vertices)]))
         sample_id = len(self._sets)
         self._sets.append(vertices)
         self._entries += len(vertices)
@@ -328,15 +332,7 @@ class HypergraphRRRCollection(RRRCollection):
         sizes = np.asarray(sizes, dtype=np.int64)
         if len(sizes) == 0:
             return
-        if sizes.min() < 1:
-            raise ValueError("an RRR set always contains at least its root")
-        actual = int(sizes.sum())
-        if total is not None and total != actual:
-            raise ValueError("declared total disagrees with the sizes payload")
-        if actual != len(flat):
-            raise ValueError("flat/sizes length mismatch")
-        if len(flat) and (flat.min() < 0 or int(flat.max()) >= self.n):
-            raise ValueError("RRR vertex id out of range")
+        self._check_landing(flat, sizes, total)
         first_id = len(self._sets)
         bounds = np.empty(len(sizes) + 1, dtype=np.int64)
         bounds[0] = 0

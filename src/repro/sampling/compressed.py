@@ -290,12 +290,7 @@ class CompressedRRRCollection(RRRCollection):
 
     def append(self, vertices: np.ndarray) -> None:
         vertices = np.asarray(vertices)
-        if len(vertices) == 0:
-            raise ValueError("an RRR set always contains at least its root")
-        if len(vertices) > 1 and np.any(np.diff(vertices) <= 0):
-            raise ValueError("RRR vertex lists must be sorted and duplicate-free")
-        if vertices[0] < 0 or int(vertices[-1]) >= self.n:
-            raise ValueError("RRR vertex id out of range")
+        self._check_landing(vertices, np.array([len(vertices)]))
         vertices = vertices.astype(np.int64, copy=False)
         self._freq[vertices] += 1
         self._encode_append(
@@ -306,34 +301,19 @@ class CompressedRRRCollection(RRRCollection):
     def append_batch(
         self, flat: np.ndarray, sizes: np.ndarray, *, total: int | None = None
     ) -> None:
-        """Bulk landing: validate exactly like the sorted layout, then
-        encode the whole cohort under the current permutation.
+        """Bulk landing: validate like every layout
+        (:meth:`RRRCollection._check_landing`), then encode the whole
+        cohort under the current permutation.
 
-        This is the landing interface the parallel engine and the
-        supervisor call block by block — a worker block is encoded
-        in-extent here (one varint pass over the block), never staged as
-        int32 rows in this collection.
+        This is the landing interface the parallel engine calls block by
+        block — a worker block is encoded in-extent here (one varint pass
+        over the block), never staged as int32 rows in this collection.
         """
         flat = np.asarray(flat)
         sizes = np.asarray(sizes, dtype=np.int64)
         if len(sizes) == 0:
             return
-        if np.any(sizes <= 0):
-            raise ValueError("an RRR set always contains at least its root")
-        actual = int(sizes.sum())
-        if total is not None and total != actual:
-            raise ValueError("declared total disagrees with the sizes payload")
-        total = actual
-        if len(flat) != total:
-            raise ValueError("flat length must equal the sum of sizes")
-        if int(flat.min()) < 0 or int(flat.max()) >= self.n:
-            raise ValueError("RRR vertex id out of range")
-        if total > len(sizes):
-            nonincreasing = np.diff(flat) <= 0
-            boundary = np.zeros(total - 1, dtype=bool)
-            boundary[np.cumsum(sizes[:-1]) - 1] = True
-            if np.any(nonincreasing & ~boundary):
-                raise ValueError("RRR vertex lists must be sorted and duplicate-free")
+        self._check_landing(flat, sizes, total)
         flat = flat.astype(np.int64, copy=False)
         self._freq += np.bincount(flat, minlength=self.n)
         self._encode_append(flat, sizes)

@@ -1,4 +1,4 @@
-"""Real multicore RRR sampling: a shared-memory process-pool engine.
+"""Real multicore RRR sampling: a self-healing shared-memory process pool.
 
 Everything above this module so far *modeled* parallel time; this module
 actually uses the cores.  The design follows the shared-memory scaling
@@ -46,15 +46,61 @@ NumPy-dispatch-bound kernels):
   while the run is still in flight.  Chunking affects scheduling only —
   never the bytes.
 
+Supervision
+-----------
+Sample ``j`` is a pure function of ``(graph, model, seed, j)``, so no
+state of a dead worker is needed to reproduce its work bit-exactly.  The
+one landing loop of :meth:`ParallelSamplingEngine.sample_into` builds on
+that; each mechanism is a constructor argument, and every one that costs
+anything in a fault-free run is off by default:
+
+Crash → rebuild → replay (``crash_budget=3``)
+    On ``BrokenProcessPool`` (a worker SIGKILLed, OOM-killed, or
+    segfaulted) or a wedged-pool timeout, the engine rebuilds the pool
+    and resubmits exactly the blocks that have not landed yet.  Replay
+    costs nothing until a worker dies.  ``crash_budget=0`` is fail-fast:
+    the first death raises :class:`CrashBudgetExhaustedError`, a
+    :class:`WorkerCrashError`.  Capped exponential backoff separates
+    consecutive rebuilds.
+Spare pools (``spares=0``)
+    Pre-spawned idle pools already attached to the shared CSR, promoted
+    on crash so healing costs a promotion, not fork + shm-reattach.
+Straggler speculation (``straggler_factor=None``)
+    With a factor set, the engine keeps a running median of block
+    service times; when the head block overstays ``factor x median``
+    (with a floor), a speculative duplicate is submitted and the first
+    checksum-valid result lands.  Both executions sample the same
+    counter-addressed streams, so the race cannot change the output.
+Run deadline (``deadline=None``)
+    Budget expiry raises :class:`DeadlineExceededError` carrying the
+    landed prefix size; the ``imm`` driver converts that into a
+    ``DegradedResult`` whose ``theta_effective``/``epsilon_effective``
+    are recomputed exactly the way the MPI shrink policy recomputes
+    them.
+Checkpoint / resume (``checkpoint_dir=None``, ``resume_from=None``)
+    Every landed block is spilled through the write-ahead
+    :class:`~repro.sampling.checkpoint.BlockCheckpointSink`; a killed
+    process restarts with ``resume_from=`` and reloads the certified
+    prefix instead of re-sampling it.
+Real fault injection (``fault_plan=None``)
+    The :class:`~repro.mpi.faults.FaultPlan` grammar that drives the
+    simulated MPI runtime drives *real* OS events here: ``crash:r@N``
+    SIGKILLs a live worker pid when the engine is about to land its
+    ``N``-th block (victim index ``r``), ``switch:lo-hi@N`` kills the
+    whole group at once, and ``straggler:b xF`` makes block ``b``'s
+    first execution sleep ``F x straggler_sleep`` seconds inside the
+    worker.  Phase-addressed and collective-only events (transient,
+    corrupt, oom) have no process-pool analog and are rejected.
+
 Determinism contract
 --------------------
-Sample ``j`` is a pure function of ``(graph, model, seed, j)`` (the
-counter-addressed stream discipline of :mod:`repro.rng.streams`), and the
-parent lands blocks in index order — so the produced collection is
-**bit-identical** to the serial and batched engines for every worker
-count, chunk policy, and start method.  ``repro-imm validate`` enforces
-this, and four mutation hooks below exist so the mutation suite can prove
-the oracle would catch the characteristic failure modes:
+The parent lands blocks in index order — from a resumed checkpoint, the
+in-process sampler (``workers=1``) or the pool — so the produced
+collection is **bit-identical** to the serial and batched engines for
+every worker count, chunk policy, start method, and mix of crashes,
+stragglers and resumes.  ``repro-imm validate`` enforces this, and seven
+mutation hooks exist so the mutation suite can prove the oracle would
+catch the characteristic failure modes:
 
 ``_mutate_land_order="reversed"``
     the parent lands blocks in reverse index order (a completion-order
@@ -77,24 +123,32 @@ the oracle would catch the characteristic failure modes:
     skips accumulating it into its counter row but still reports the
     block as fused — the fused merge silently under-counts and only the
     oracle's ``engine.count-partitioned`` comparison can see it.
+``_mutate_replay_overlap=True``
+    crash recovery re-lands the last already-landed block;
+``_mutate_resume_skip=True``
+    resume drops the first sample past the checkpoint cursor;
+``_mutate_spec_order=True``
+    a speculative win lands behind its successor block.
 
 Cleanup discipline
 ------------------
 The parent owns every shared-memory segment — CSR, counters, and all
 arena segments: ``close()`` (idempotent, also invoked by ``__exit__``,
-``__del__``, and every error path) shuts the pool down and unlinks all
-segments.  Pool workers share the parent's ``resource_tracker`` process
-(its fd rides along under both ``fork`` and ``spawn``), and the
-tracker's cache is a set — so a worker's attach-time re-registration is
-a no-op and the parent's single unlink-time unregistration leaves the
-cache clean.  Workers must therefore *not* unregister segments
-themselves (that would race the parent's cleanup); the test suite
-asserts the net effect — no ``resource_tracker`` warnings or "leaked
-shared_memory" messages — by scanning a subprocess's stderr.
+``__del__``, and every error path) shuts the pool and the spares down
+and unlinks all segments.  Pool workers share the parent's
+``resource_tracker`` process (its fd rides along under both ``fork`` and
+``spawn``), and the tracker's cache is a set — so a worker's attach-time
+re-registration is a no-op and the parent's single unlink-time
+unregistration leaves the cache clean.  Workers must therefore *not*
+unregister segments themselves (that would race the parent's cleanup);
+the test suite asserts the net effect — no ``resource_tracker`` warnings
+or "leaked shared_memory" messages — by scanning a subprocess's stderr.
 
-Failure modes raise typed errors, never hang: a dead worker surfaces as
-:class:`WorkerCrashError` (via the executor's broken-pool detection or
-the per-block ``task_timeout``), and a stream-addressing disagreement as
+Failure modes raise typed errors, never hang: a pool that keeps dying
+past the crash budget surfaces as :class:`CrashBudgetExhaustedError`
+(via the executor's broken-pool detection or the per-block
+``task_timeout``), an expired run deadline as
+:class:`DeadlineExceededError`, and a stream-addressing disagreement as
 :class:`EngineProtocolError`.
 """
 
@@ -104,13 +158,19 @@ import logging
 import math
 import os
 import pickle
+import signal
+import statistics
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from concurrent.futures import wait as _futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import get_context
 from multiprocessing import shared_memory as _shm
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -118,16 +178,23 @@ from ..diffusion import DiffusionModel
 from ..graph import CSRGraph
 from ..rng.streams import fold_stream_seeds, stream_checksum, stream_seeds_array
 from .batched import BatchedRRRSampler
+from .checkpoint import BlockCheckpointSink, CheckpointError
 from .collection import RRRCollection
 from .rrr import in_edge_cumweights
+
+if TYPE_CHECKING:  # repro.mpi imports repro.sampling at package import
+    from ..mpi.faults import FaultPlan
 
 __all__ = [
     "ParallelSamplingEngine",
     "ParallelEngineError",
     "WorkerCrashError",
     "EngineProtocolError",
+    "CrashBudgetExhaustedError",
+    "DeadlineExceededError",
     "EngineStats",
     "AdaptiveChunkPolicy",
+    "build_sampling_engine",
 ]
 
 _log = logging.getLogger(__name__)
@@ -191,16 +258,48 @@ class EngineProtocolError(ParallelEngineError):
     """Parent and worker disagree on a block's stream identities."""
 
 
+class CrashBudgetExhaustedError(WorkerCrashError):
+    """The pool kept dying past the per-run crash budget.
+
+    Raised only after cleanup: shared memory is unlinked, spare pools
+    shut down, and checkpoint temporaries removed (the checkpoint run
+    directory itself survives — it is the resume vehicle).  With
+    ``crash_budget=0`` this is the fail-fast error of the first death.
+    """
+
+    def __init__(self, budget: int, reason: str) -> None:
+        super().__init__(
+            f"worker pool failed past its crash budget of {budget} "
+            f"(last: {reason}); shared memory unlinked, any checkpoint "
+            "directory left consistent for resume"
+        )
+        self.budget = budget
+        self.reason = reason
+
+
+class DeadlineExceededError(ParallelEngineError):
+    """The overall run deadline expired mid-θ.
+
+    The collection holds the landed in-order prefix (``landed_total``
+    samples); drivers convert this into a ``DegradedResult`` with
+    honestly recomputed ``theta_effective``/``epsilon_effective``.
+    """
+
+    def __init__(self, landed_total: int, deadline: float | None) -> None:
+        super().__init__(
+            f"run deadline ({deadline}s) expired with {landed_total} samples "
+            "landed; the collection holds a valid in-order prefix"
+        )
+        self.landed_total = landed_total
+        self.deadline = deadline
+
+
 @dataclass
 class EngineStats:
-    """Operational counters of one engine instance.
-
-    The supervisor (:mod:`repro.sampling.supervisor`) extends these with
-    recovery counters; the plain engine tracks the work it routed, the
-    counting-kernel fallbacks it took, and the per-phase cost breakdown
-    the regression harness records (arena writes, landing, counting
-    merges, IPC descriptor bytes).
-    """
+    """Operational counters of one engine instance: the work it routed,
+    the per-phase cost breakdown the regression harness records (arena
+    writes, landing, counting merges, IPC descriptor bytes), and
+    everything it did to stay alive."""
 
     blocks_landed: int = 0
     tasks_submitted: int = 0
@@ -229,24 +328,29 @@ class EngineStats:
     #: recent ``sample_into`` call (equal when a static chunk is used).
     chunk_initial: int = 0
     chunk_final: int = 0
+    #: Recovery: pool failures seen, rebuilds, spare promotions and
+    #: spawns, blocks re-run after a failure, and backoff slept.
+    crashes_observed: int = 0
+    rebuilds: int = 0
+    promotions: int = 0
+    spares_spawned: int = 0
+    blocks_replayed: int = 0
+    backoff_seconds: float = 0.0
+    speculative_launched: int = 0
+    speculative_wins: int = 0
+    #: Fault-plan events actually delivered.
+    injected_crashes: int = 0
+    injected_sleeps: int = 0
+    #: Checkpoint/resume and deadline accounting.
+    resumed_samples: int = 0
+    checkpoint_bytes: int = 0
+    checkpoint_seconds: float = 0.0
+    deadline_expired: bool = False
 
     def as_dict(self) -> dict:
         return {
-            "blocks_landed": self.blocks_landed,
-            "tasks_submitted": self.tasks_submitted,
-            "count_fallbacks": self.count_fallbacks,
-            "arena_segments": self.arena_segments,
-            "arena_bytes": self.arena_bytes,
-            "arena_overflows": self.arena_overflows,
-            "sample_seconds": round(self.sample_seconds, 6),
-            "arena_write_seconds": round(self.arena_write_seconds, 6),
-            "landing_seconds": round(self.landing_seconds, 6),
-            "count_merge_seconds": round(self.count_merge_seconds, 6),
-            "fused_count_merges": self.fused_count_merges,
-            "fused_invalidations": self.fused_invalidations,
-            "ipc_descriptor_bytes": self.ipc_descriptor_bytes,
-            "chunk_initial": self.chunk_initial,
-            "chunk_final": self.chunk_final,
+            key: round(value, 6) if isinstance(value, float) else value
+            for key, value in asdict(self).items()
         }
 
 
@@ -375,6 +479,27 @@ def _attach_arena(name: str) -> _shm.SharedMemory:
     return seg
 
 
+def _sample_block(
+    sampler: BatchedRRRSampler, indices: np.ndarray, seed: int, edge_flip: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block of global indices as ``(flat, sizes, edges)``: cohorts of
+    at most ``max_cohort`` samples, concatenated in index order.  Pool
+    workers and the in-process (``workers=1``) path both call this."""
+    flats, sizes, edges = [], [], []
+    for lo in range(0, len(indices), sampler.max_cohort):
+        v, s, e = sampler.sample_cohort(
+            indices[lo : lo + sampler.max_cohort], seed, edge_flip=edge_flip
+        )
+        flats.append(v)
+        sizes.append(s)
+        edges.append(e)
+    return (
+        np.concatenate(flats) if flats else np.empty(0, dtype=np.int32),
+        np.concatenate(sizes) if sizes else np.empty(0, dtype=np.int64),
+        np.concatenate(edges) if edges else np.empty(0, dtype=np.int64),
+    )
+
+
 def _worker_block(
     indices: np.ndarray,
     seed: int,
@@ -383,7 +508,6 @@ def _worker_block(
     mutate_offset: bool,
     mutate_overlap: bool,
     mutate_fused_drop: bool,
-    crash: bool,
     sleep_s: float = 0.0,
 ) -> tuple:
     """Sample one block of global indices into its arena extent.
@@ -394,30 +518,17 @@ def _worker_block(
     itself in ``inline`` when it did not (the parent then grows its
     sizing estimate).
     """
-    if crash:  # test/mutation hook: simulate a worker dying mid-block
-        os._exit(1)
     if sleep_s > 0.0:  # injected straggler: the worker stalls, then answers
         time.sleep(sleep_s)
     assert _WORKER is not None, "worker initializer did not run"
-    sampler: BatchedRRRSampler = _WORKER["sampler"]
     checksum = stream_checksum(seed, indices)
     first_index = int(indices[0]) if len(indices) else -1
     if mutate_offset:
         indices = indices - indices[0]  # the injected lost-offset bug
     t0 = time.perf_counter()
-    flats: list[np.ndarray] = []
-    sizes: list[np.ndarray] = []
-    edges: list[np.ndarray] = []
-    for lo in range(0, len(indices), sampler.max_cohort):
-        v, s, e = sampler.sample_cohort(
-            indices[lo : lo + sampler.max_cohort], seed, edge_flip=edge_flip
-        )
-        flats.append(v)
-        sizes.append(s)
-        edges.append(e)
-    flat = np.concatenate(flats) if flats else np.empty(0, dtype=np.int32)
-    size_arr = np.concatenate(sizes) if sizes else np.empty(0, dtype=np.int64)
-    edge_arr = np.concatenate(edges) if edges else np.empty(0, dtype=np.int64)
+    flat, size_arr, edge_arr = _sample_block(
+        _WORKER["sampler"], indices, seed, edge_flip
+    )
     sample_s = time.perf_counter() - t0
     counter_row = _WORKER.get("counter_row")
     fused = counter_row is not None
@@ -463,7 +574,10 @@ class ParallelSamplingEngine:
     Drop-in alternative to :class:`BatchedRRRSampler` for the batch
     drivers: it exposes the same ``sample_into`` interface (and
     :func:`~repro.sampling.sampler.sample_batch` accepts it as
-    ``sampler=``), plus the ``count_partitioned`` selection kernel.
+    ``sampler=``), plus the ``count_partitioned`` selection kernel.  The
+    output is bit-identical to the serial sampler under any mix of worker
+    crashes, stragglers, and resumes — only wall-clock and ``stats``
+    change.
 
     Parameters
     ----------
@@ -471,7 +585,8 @@ class ParallelSamplingEngine:
         The input graph and diffusion model.
     workers:
         Pool size.  ``workers=1`` degenerates to the in-process batched
-        sampler — no pool, no shared memory, no IPC.
+        sampler — no pool, no shared memory, no IPC (the deadline and
+        checkpoint still apply).
     chunk_size:
         Samples per fan-out block.  ``None`` (the default) enables
         :class:`AdaptiveChunkPolicy` — probe blocks growing toward a
@@ -484,12 +599,43 @@ class ParallelSamplingEngine:
         ``"fork"``/``"spawn"``/``"forkserver"`` or ``None`` for the
         platform default.  Output is bit-identical across all of them.
     task_timeout:
-        Seconds to wait for any single block before declaring the pool
-        wedged (:class:`WorkerCrashError`).  ``None`` waits forever.
+        Seconds without a block landing before the pool counts as
+        wedged (a failure against the crash budget).  ``None`` waits
+        forever.
     arena_bytes:
         Size of the *first* output-arena segment.  ``None`` sizes it
         from the first call's sample count; tests pass tiny values to
         force the growable-segment path.
+    spares:
+        Pre-spawned warm standby pools (each ``workers`` wide) promoted
+        on crash; a promoted spare is replaced after the rebuild.  ``0``
+        respawns cold on every rebuild.
+    crash_budget:
+        Pool failures healed per engine lifetime; one more raises
+        :class:`CrashBudgetExhaustedError`.  ``0`` is fail-fast.
+    backoff_base, backoff_cap:
+        Capped exponential backoff (seconds) between consecutive
+        rebuilds: ``min(cap, base * 2**rebuilds)``.
+    deadline:
+        Overall wall-clock budget (seconds) for the engine's lifetime;
+        expiry raises :class:`DeadlineExceededError` at the next block
+        boundary.  ``None`` disables.
+    straggler_factor, straggler_floor, straggler_min_history:
+        Speculative re-execution triggers once the head block has waited
+        ``max(floor, factor x running-median-service-time)`` seconds and
+        at least ``min_history`` blocks have landed.
+        ``straggler_factor=None`` disables speculation.
+    checkpoint_dir, resume_from:
+        Spill landed blocks to / reload a certified prefix from a
+        :class:`BlockCheckpointSink` run directory.  Passing the same
+        path for both (or an existing directory as ``checkpoint_dir``)
+        continues it in place.
+    fault_plan:
+        :class:`~repro.mpi.faults.FaultPlan` (or its CLI grammar) driving
+        *real* injection: SIGKILL and in-worker sleeps, addressed by
+        global landed-block ordinal.
+    straggler_sleep:
+        Base seconds one injected straggler factor unit sleeps.
     """
 
     def __init__(
@@ -503,42 +649,33 @@ class ParallelSamplingEngine:
         start_method: str | None = None,
         task_timeout: float | None = 300.0,
         arena_bytes: int | None = None,
-        _counter_rows: int | None = None,
+        spares: int = 0,
+        crash_budget: int = 3,
+        backoff_base: float = 0.05,
+        backoff_cap: float = 1.0,
+        deadline: float | None = None,
+        straggler_factor: float | None = None,
+        straggler_floor: float = 0.25,
+        straggler_min_history: int = 5,
+        straggler_sleep: float = 0.3,
+        checkpoint_dir: str | Path | None = None,
+        resume_from: str | Path | None = None,
+        fault_plan: FaultPlan | str | None = None,
         _mutate_land_order: str | None = None,
         _mutate_stream_offset: bool = False,
         _mutate_arena_overlap: bool = False,
         _mutate_fused_drop: bool = False,
-        _crash_block: int | None = None,
+        _mutate_replay_overlap: bool = False,
+        _mutate_resume_skip: bool = False,
+        _mutate_spec_order: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        if arena_bytes is not None and arena_bytes < 1:
-            raise ValueError("arena_bytes must be positive")
-        self.graph = graph
-        self.model = DiffusionModel.parse(model)
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.task_timeout = task_timeout
-        self._mutate_land_order = _mutate_land_order
-        self._mutate_stream_offset = _mutate_stream_offset
-        self._mutate_arena_overlap = _mutate_arena_overlap
-        self._mutate_fused_drop = _mutate_fused_drop
-        self._crash_block = _crash_block
+        # close() runs on every error path below; it needs these first.
         self._closed = False
         self._segments: list[_shm.SharedMemory] = []
         self._pool: ProcessPoolExecutor | None = None
-        self._payload: dict | None = None
-        self._mp_ctx = None
-        self.stats = EngineStats()
-        # -- output arena state (all parent-side; no shared locks) ----------
-        self._arena_override = arena_bytes
-        self._arena: list[dict] = []  # {"seg", "size", "cursor"} per segment
-        self._arena_active = 0
-        self._arena_hint = 0  # samples the current call wants room for
-        self._bytes_per_sample = ARENA_BYTES_PER_SAMPLE_GUESS
-        self._inflight: set[Future] = set()
+        self._spares: deque[ProcessPoolExecutor] = deque()
+        self._sink: BlockCheckpointSink | None = None
+        self._resume: BlockCheckpointSink | None = None
         #: Pools replaced by :meth:`rebuild_pool` whose worker processes
         #: may not have exited yet.  A surviving worker of a broken pool
         #: can still be executing an abandoned block — writing to its
@@ -546,11 +683,63 @@ class ParallelSamplingEngine:
         #: resource tracker — so arena cursors must not rewind and
         #: segments must not unlink until these are reaped.
         self._retired_pools: list[ProcessPoolExecutor] = []
+        self._arena: list[dict] = []  # {"seg", "size", "cursor"} per segment
+        if workers < 1:
+            raise ValueError("need at least one worker")
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError("chunk_size must be positive")
+        if arena_bytes is not None and arena_bytes < 1:
+            raise ValueError("arena_bytes must be positive")
+        if spares < 0:
+            raise ValueError("spares must be >= 0")
+        if crash_budget < 0:
+            raise ValueError("crash_budget must be >= 0")
+        self.graph = graph
+        self.model = DiffusionModel.parse(model)
+        self.workers = workers
+        self.chunk_size = chunk_size
+        self.task_timeout = task_timeout
+        self.spares = spares
+        self.crash_budget = crash_budget
+        self.backoff_base = backoff_base
+        self.backoff_cap = backoff_cap
+        self.deadline = deadline
+        self.straggler_factor = straggler_factor
+        self.straggler_floor = straggler_floor
+        self.straggler_min_history = straggler_min_history
+        self.straggler_sleep = straggler_sleep
+        self._mutate_land_order = _mutate_land_order
+        self._mutate_stream_offset = _mutate_stream_offset
+        self._mutate_arena_overlap = _mutate_arena_overlap
+        self._mutate_fused_drop = _mutate_fused_drop
+        self._mutate_replay_overlap = _mutate_replay_overlap
+        self._mutate_resume_skip = _mutate_resume_skip
+        self._mutate_spec_order = _mutate_spec_order
+        self._compile_fault_plan(fault_plan)
+        self._payload: dict | None = None
+        self._mp_ctx = None
+        self.stats = EngineStats()
+        # -- output arena state (all parent-side; no shared locks) ----------
+        self._arena_override = arena_bytes
+        self._arena_active = 0
+        self._arena_hint = 0  # samples the current call wants room for
+        self._bytes_per_sample = ARENA_BYTES_PER_SAMPLE_GUESS
+        self._inflight: set[Future] = set()
         # -- fused-counting state -------------------------------------------
         self._counter_matrix: np.ndarray | None = None
         self._fused_valid = False
         self._fused_incidences = 0
         self._fused_parent: np.ndarray | None = None
+        # -- supervision state ----------------------------------------------
+        self._deadline_at = (
+            time.monotonic() + deadline if deadline is not None else None
+        )
+        self._service_times: deque[float] = deque(maxlen=63)
+        self._fault_clock = 0  # global ordinal of the next block to land
+        self._need_spare = 0
+        self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
+        self._resume_dir = Path(resume_from) if resume_from else None
+        self._sink_seed: int | None = None
         # LT: one cumulative-weight table, built once and shared with
         # every worker (bit-equal to what each would build locally).
         self._lt_cum = (
@@ -583,8 +772,12 @@ class ParallelSamplingEngine:
                 "model": self.model.value,
                 "max_cohort": self._local.max_cohort,
             }
-            rows = _counter_rows if _counter_rows is not None else workers
-            if rows > 0 and rows * graph.n * 8 <= FUSED_COUNTER_MAX_BYTES:
+            # One counter row per worker of the first pool and of every
+            # pre-spawned spare.  Workers of pools spawned after a crash
+            # find no free row and produce unfused blocks, so counting
+            # after a recovery takes the exact fallback paths.
+            rows = workers * (1 + spares)
+            if rows * graph.n * 8 <= FUSED_COUNTER_MAX_BYTES:
                 seg = _shm.SharedMemory(create=True, size=max(1, rows * graph.n * 8))
                 self._segments.append(seg)
                 self._counter_matrix = np.ndarray(
@@ -597,6 +790,9 @@ class ParallelSamplingEngine:
                 self._payload["slot_counter"] = self._mp_ctx.Value("i", 0)
                 self._fused_valid = True
             self._pool = self.spawn_pool()
+            for _ in range(spares):
+                self._spares.append(self.spawn_pool(warm=True))
+                self.stats.spares_spawned += 1
         except BaseException:
             self.close()
             raise
@@ -608,7 +804,8 @@ class ParallelSamplingEngine:
         return self._closed
 
     def close(self) -> None:
-        """Shut the pool down and unlink every shared segment (idempotent).
+        """Shut the pool and the spares down, close the checkpoint sinks,
+        and unlink every shared segment (idempotent).
 
         This covers the CSR segments, the fused-counters matrix, and
         every output-arena segment — on success paths and on every
@@ -617,6 +814,16 @@ class ParallelSamplingEngine:
         if self._closed:
             return
         self._closed = True
+        # wait=True: a freshly spawned spare may still be running its
+        # shm-attach initializer, and unlinking segments under it races
+        # the resource-tracker registration (stale entries at shutdown).
+        # Idle spares join immediately, so this costs nothing.
+        for pool in self._spares:
+            pool.shutdown(wait=True, cancel_futures=True)
+        self._spares.clear()
+        for sink in {id(s): s for s in (self._sink, self._resume)}.values():
+            if sink is not None:
+                sink.close()
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
@@ -624,7 +831,7 @@ class ParallelSamplingEngine:
         # join them before any segment goes away.
         self._reap_retired_pools(wait=True)
         self._counter_matrix = None  # view dies before its segment
-        for rec in getattr(self, "_arena", ()):
+        for rec in self._arena:
             self._segments.append(rec["seg"])
         self._arena = []
         for seg in self._segments:
@@ -651,13 +858,13 @@ class ParallelSamplingEngine:
         if self._closed:
             raise ParallelEngineError("engine is closed")
 
-    # -- pool lifecycle (the supervisor's recovery primitives) ---------------
+    # -- pool lifecycle (the recovery primitives) ---------------------------
 
     def spawn_pool(self, *, warm: bool = False) -> ProcessPoolExecutor:
         """A fresh worker pool attached to this engine's shared segments.
 
         The pool is *not* installed — it is returned for the caller to
-        hold (the supervisor keeps pre-spawned spares this way) or to
+        hold (pre-spawned spares are kept this way) or to
         pass to :meth:`rebuild_pool`.  ``warm=True`` forces the worker
         processes to actually start (and run the shm-attach initializer)
         before returning, so a later promotion costs no fork.
@@ -831,6 +1038,197 @@ class ParallelSamplingEngine:
         self._fused_parent += np.bincount(flat, minlength=self.graph.n)
         self._fused_incidences += len(flat)
 
+    # -- fault-plan translation ---------------------------------------------
+
+    def _compile_fault_plan(self, plan) -> None:
+        """Map the MPI fault grammar onto real process-pool events.
+
+        ``crash``/``switch`` become SIGKILLs of live worker pids fired
+        when the engine is about to land the addressed block ordinal;
+        ``straggler`` becomes an in-worker sleep on that block's first
+        execution (replays and speculative copies run clean — the sleep
+        models a slow worker, not slow work).
+        """
+        self._kill_events: list[dict] = []
+        self._sleep_factors: dict[int, float] = {}
+        self._slept_blocks: set[int] = set()
+        self.fault_plan = plan
+        if plan is None:
+            return
+        # Imported here, not at module top: repro.mpi's package __init__
+        # reaches back into repro.sampling (circular at import time).
+        from ..mpi.faults import FaultPlan, RankCrash, Straggler, SwitchOutage
+
+        if isinstance(plan, str):
+            plan = self.fault_plan = FaultPlan.parse(plan)
+        for event in plan.events:
+            if isinstance(event, RankCrash):
+                if event.at_call is None:
+                    raise ValueError(
+                        "phase-addressed crashes have no process-pool analog; "
+                        "address the block ordinal: crash:<victim>@<block>"
+                    )
+                self._kill_events.append(
+                    {"at": event.at_call, "ranks": (event.rank,), "fired": False}
+                )
+            elif isinstance(event, SwitchOutage):
+                self._kill_events.append(
+                    {"at": event.at_call, "ranks": event.ranks, "fired": False}
+                )
+            elif isinstance(event, Straggler):
+                self._sleep_factors[event.rank] = (
+                    self._sleep_factors.get(event.rank, 1.0) * event.factor
+                )
+            else:
+                raise ValueError(
+                    f"{type(event).__name__} events only exist in the simulated "
+                    "MPI runtime; the pool supports crash/switch/straggler"
+                )
+
+    def _sleep_for_block(self, ordinal: int) -> float:
+        factor = self._sleep_factors.get(ordinal)
+        if factor is None or ordinal in self._slept_blocks:
+            return 0.0
+        self._slept_blocks.add(ordinal)
+        self.stats.injected_sleeps += 1
+        return self.straggler_sleep * factor
+
+    def _fire_due_kills(self, ordinal: int) -> bool:
+        """SIGKILL real worker pids for every kill event now due.
+
+        Returns True when at least one kill was delivered so the caller
+        can wait for the pool break instead of racing run completion —
+        on a fast run every block may already be computed by the time
+        the kill lands, and the executor would only notice the corpse
+        at close().
+        """
+        fired = False
+        for event in self._kill_events:
+            if event["fired"] or ordinal < event["at"]:
+                continue
+            event["fired"] = True
+            pids = sorted(self._pool._processes.keys())
+            if not pids:
+                continue
+            victims = {pids[r % len(pids)] for r in event["ranks"]}
+            for pid in victims:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except (ProcessLookupError, PermissionError):  # pragma: no cover
+                    continue
+                self.stats.injected_crashes += 1
+                fired = True
+            _log.warning(
+                "injected SIGKILL of worker pid(s) %s at block %d",
+                sorted(victims),
+                ordinal,
+            )
+        return fired
+
+    def _await_pool_break(self, timeout: float = 10.0) -> None:
+        """Block until the executor notices an injected worker death.
+
+        The victim pid is really dead, so the management thread is
+        guaranteed to flag the pool broken (it waits on the process
+        sentinels); pausing here makes injected crashes exercise the
+        recovery path deterministically.
+        """
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if self._pool is None or getattr(self._pool, "_broken", False):
+                return
+            time.sleep(0.005)
+
+    # -- checkpoint plumbing -------------------------------------------------
+
+    def _ensure_sinks(self, seed: int) -> None:
+        """Open checkpoint/resume sinks lazily, bound to the run's seed."""
+        if self._checkpoint_dir is None and self._resume_dir is None:
+            return
+        if self._sink_seed is not None:
+            if seed != self._sink_seed:
+                raise CheckpointError(
+                    f"checkpoint is bound to seed {self._sink_seed}, "
+                    f"this call uses seed {seed}"
+                )
+            return
+        ident = dict(n=self.graph.n, model=self.model.value, seed=seed)
+        if self._checkpoint_dir is not None:
+            self._sink = BlockCheckpointSink(self._checkpoint_dir, **ident)
+        if self._resume_dir is not None:
+            if (
+                self._checkpoint_dir is not None
+                and self._resume_dir.resolve() == self._checkpoint_dir.resolve()
+            ):
+                self._resume = self._sink  # continue the same run directory
+            else:
+                self._resume = BlockCheckpointSink(
+                    self._resume_dir, readonly=True, **ident
+                )
+        elif self._sink is not None and self._sink.landed > 0:
+            # checkpoint_dir pointed at an existing run: implicit resume
+            self._resume = self._sink
+        self._sink_seed = seed
+
+    def _refresh_checkpoint_stats(self) -> None:
+        self.stats.checkpoint_bytes = self._sink.bytes_written
+        self.stats.checkpoint_seconds = self._sink.write_seconds
+
+    def _land_resumed(
+        self,
+        collection: RRRCollection,
+        sample_indices: np.ndarray,
+        per_sample: np.ndarray,
+    ) -> int:
+        """Satisfy the certified prefix of this call from the resume
+        spill; returns how many samples it landed."""
+        src = self._resume
+        first = int(sample_indices[0])
+        if src is None or src.landed <= first:
+            return 0
+        hi = min(src.landed, first + len(sample_indices))
+        flat, sizes, edges = src.load_range(first, hi)
+        collection.append_batch(flat, sizes)
+        # The prefix never passed through a worker: account it in the
+        # parent-side fused row so the books can still balance.
+        self._note_parent_landing(np.asarray(flat))
+        pos = hi - first
+        per_sample[:pos] = edges
+        self.stats.resumed_samples += pos
+        if self._sink is not None and self._sink is not src:
+            self._sink.append_block(sample_indices[:pos], flat, sizes, edges)
+            self._refresh_checkpoint_stats()
+        return pos
+
+    # -- degradation / exhaustion endpoints ----------------------------------
+
+    def _check_deadline(self, landed_total: int) -> None:
+        if self._deadline_at is not None and time.monotonic() >= self._deadline_at:
+            self._degrade(landed_total)
+
+    def _degrade(self, landed_total: int) -> None:
+        """Deadline expired: surface the typed error (engine stays open —
+        the driver owns the close, and the collection's landed prefix is
+        exactly what ``DegradedResult`` will account for).
+
+        Abandoned in-flight blocks may still have been accumulated by
+        their workers without ever landing, so the fused counters are
+        invalidated — the degraded run counts via the fallback paths.
+        """
+        self._invalidate_fused("deadline degradation abandoned in-flight blocks")
+        self.stats.deadline_expired = True
+        _log.warning(
+            "run deadline (%ss) expired with %d samples landed; degrading",
+            self.deadline,
+            landed_total,
+        )
+        raise DeadlineExceededError(landed_total, self.deadline)
+
+    def _exhausted(self, reason: str) -> None:
+        """Crash budget gone: clean everything up, then raise typed."""
+        self.close()  # spares down, sinks consistent, shm unlinked
+        raise CrashBudgetExhaustedError(self.crash_budget, reason)
+
     # -- block submission / materialization ----------------------------------
 
     def submit_block(
@@ -840,15 +1238,14 @@ class ParallelSamplingEngine:
         edge_flip: str = "stream",
         *,
         sleep_s: float = 0.0,
-        crash: bool = False,
     ) -> Future:
         """Fan one block of global sample indices out to the pool.
 
-        Low-level primitive used by the landing loops (and the
-        supervisor's speculative re-execution).  The block is assigned
-        an output-arena extent here; the returned future resolves to the
-        block *descriptor* — pass it to :meth:`_materialize` to obtain
-        the zero-copy ``(flat, sizes, edges)`` views plus checksum.
+        Low-level primitive of the landing loop (and of its speculative
+        re-execution).  The block is assigned an output-arena extent
+        here; the returned future resolves to the block *descriptor* —
+        pass it to :meth:`_materialize` to obtain the zero-copy
+        ``(flat, sizes, edges)`` views plus checksum.
         """
         self._require_open()
         if self._pool is None:
@@ -869,7 +1266,6 @@ class ParallelSamplingEngine:
             self._mutate_stream_offset,
             self._mutate_arena_overlap,
             self._mutate_fused_drop,
-            crash,
             sleep_s,
         )
         fut._arena_extent = extent
@@ -910,9 +1306,9 @@ class ParallelSamplingEngine:
     def worker_pids(self) -> list[int]:
         """Live worker pids of the current pool (spawning it if lazy).
 
-        Real fault injection needs actual victims: the supervisor sends
-        SIGKILL to one of these.  ``ProcessPoolExecutor`` starts all
-        workers on the first submit, so after one ping the private
+        Real fault injection needs actual victims: a ``crash`` fault
+        sends SIGKILL to one of these.  ``ProcessPoolExecutor`` starts
+        all workers on the first submit, so after one ping the private
         ``_processes`` map is fully populated.
         """
         self._require_open()
@@ -936,123 +1332,332 @@ class ParallelSamplingEngine:
 
         Same contract as :meth:`BatchedRRRSampler.sample_into`; returns
         the per-sample examined-edge counts aligned with
-        ``sample_indices``.  Blocks land in index order, so the
-        collection is bit-identical to the serial engines' output.
+        ``sample_indices``.  Blocks land strictly in index order, so the
+        collection is bit-identical to the serial engines' output.  The
+        loop survives worker deaths (replay, within the crash budget),
+        overstaying blocks (speculation) and process kills
+        (checkpoint/resume), and honours the run deadline; each of those
+        costs a fault-free block nothing when it is switched off.
         """
         self._require_open()
         sample_indices = np.asarray(sample_indices, dtype=np.int64)
-        if self._pool is None or len(sample_indices) == 0:
-            return self._local.sample_into(
-                collection, sample_indices, seed, edge_flip=edge_flip
-            )
-        total = len(sample_indices)
+        per_sample = np.empty(len(sample_indices), dtype=np.int64)
+        if len(sample_indices) == 0:
+            return per_sample
+        self._check_deadline(len(collection))
+        self._ensure_sinks(seed)
         self._maybe_reset_fused(collection, sample_indices)
-        self._maybe_reset_arena(total)
-        # Batched checksum handshake: one vectorized pass derives every
-        # block's expected checksum; the worker's answer rides back in
-        # the block descriptor — no separate round trip.
-        seeds_arr = stream_seeds_array(seed, sample_indices)
-        chunk = chunk_size or self.chunk_size
+        self._maybe_reset_arena(len(sample_indices))
+        pos = self._land_resumed(collection, sample_indices, per_sample)
+        if self._mutate_resume_skip and 0 < pos < len(sample_indices):
+            per_sample[pos] = 0  # the injected cursor-skip bug
+            pos += 1
+        indices = sample_indices[pos:]
+        total = len(indices)
+        if total == 0:
+            return per_sample
+        pooled = self._pool is not None
+        # In process there is no load to balance: one cohort per block,
+        # exactly the batched sampler's own landing granularity.
+        chunk = chunk_size or self.chunk_size or (
+            None if pooled else self._local.max_cohort
+        )
         policy = (
             None if chunk is not None else AdaptiveChunkPolicy(total, self.workers)
         )
-        self.stats.chunk_initial = chunk if chunk else policy.initial
-        eager = self._mutate_land_order == "reversed"
-        window = total if eager else 2 * self.workers + 2
-        blocks: list[tuple[int, int]] = []  # planned (start, stop) spans
+        self.stats.chunk_initial = chunk if chunk is not None else policy.initial
+        # Batched checksum handshake: every block's expected checksum is a
+        # fold over one vectorized stream-seed pass; the worker's answer
+        # rides back in its descriptor — no separate round trip.
+        seeds_arr = stream_seeds_array(seed, indices) if pooled else None
+        base = self._fault_clock  # global ordinal of blocks[0]
+        # Planned-but-unlanded block bound.  In process there is nothing
+        # to overlap, so each block is planned after the previous landed.
+        window = 2 * self.workers + 2 if pooled else 1
+        blocks: list[np.ndarray] = []
         expected: list[int] = []
-        futures: list[Future] = []
-        pos = 0
+        primary: list[Future | None] = []
+        spec: list[Future | None] = []
+        planned = 0  # samples planned into blocks so far
         next_land = 0
-        per_sample = np.empty(total, dtype=np.int64)
-
-        def plan_and_submit() -> None:
-            nonlocal pos
-            while pos < total and len(futures) - next_land < window:
-                size = chunk if chunk is not None else policy.next_size()
-                stop = min(total, pos + size)
-                block = sample_indices[pos:stop]
-                expected.append(fold_stream_seeds(seeds_arr[pos:stop]))
-                futures.append(
-                    self.submit_block(
-                        block, seed, edge_flip,
-                        crash=len(futures) == self._crash_block,
-                    )
-                )
-                blocks.append((pos, stop))
-                pos = stop
-                # the policy's settled size, not the clipped tail block
-                self.stats.chunk_final = size
-
-        # Per-submission deadline: the watchdog clock starts when the work
-        # is submitted and is refreshed only by *progress* (a block landing),
-        # so each wait sees the remaining budget — a hung block ``i`` can no
-        # longer consume ``i x task_timeout`` wall-clock by restarting the
-        # clock at every ``result()`` call.
-        deadline = (
+        held: list[tuple] = []  # _mutate_land_order stash
+        last_landed: tuple | None = None  # _mutate_replay_overlap stash
+        # Per-submission watchdog: the clock is refreshed only by
+        # *progress* (a block landing), so a hung block cannot consume
+        # ``i x task_timeout`` by restarting the clock at every wait.
+        task_deadline = (
             time.monotonic() + self.task_timeout
             if self.task_timeout is not None
             else None
         )
 
-        def land(bi: int) -> None:
-            nonlocal deadline
-            lo, hi = blocks[bi]
-            try:
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - time.monotonic())
-                )
-                flat, sizes, edges, checksum, sample_s = self._materialize(
-                    futures[bi], timeout=remaining
-                )
-            except BrokenProcessPool as exc:
-                self.close()
-                raise WorkerCrashError(
-                    f"worker died while sampling block {bi} [{lo}, {hi}); "
-                    "shared memory unlinked"
-                ) from exc
-            except _FuturesTimeout as exc:
-                self.close()
-                raise WorkerCrashError(
-                    f"block {bi} exhausted the remaining task_timeout budget "
-                    f"(task_timeout={self.task_timeout}s since last progress); "
-                    "pool shut down, shared memory unlinked"
-                ) from exc
-            if checksum != expected[bi]:
-                self.close()
-                raise EngineProtocolError(
-                    f"block {bi} stream-checksum mismatch: the worker did not "
-                    "sample the global indices it was sent"
-                )
-            t0 = time.perf_counter()
-            collection.append_batch(flat, sizes, total=len(flat))
-            self.stats.landing_seconds += time.perf_counter() - t0
-            per_sample[lo : lo + len(edges)] = edges
-            self.stats.blocks_landed += 1
-            if policy is not None:
-                policy.observe(hi - lo, sample_s)
-            if deadline is not None:  # progress resets the watchdog
-                deadline = time.monotonic() + self.task_timeout
+        def plan_more() -> None:
+            """Lazily extend the block plan behind the submission window.
 
-        try:
-            if eager:
-                plan_and_submit()  # window == total: everything at once
-                for bi in reversed(range(len(futures))):
-                    land(bi)
-                return per_sample
-            while pos < total or next_land < len(futures):
-                plan_and_submit()
-                land(next_land)
-                next_land += 1
-        except BrokenProcessPool as exc:  # raised at submission time
-            self.close()
-            raise WorkerCrashError(
-                "worker pool broke during block submission; "
-                "shared memory unlinked"
-            ) from exc
+            With an adaptive policy the next block's size reflects every
+            block landed so far.  Planning is append-only, so replay and
+            fault addressing by block ordinal stay stable.
+            """
+            nonlocal planned
+            while planned < total and len(blocks) - next_land < window:
+                size = chunk if chunk is not None else policy.next_size()
+                stop = min(total, planned + size)
+                blocks.append(indices[planned:stop])
+                if pooled:
+                    expected.append(fold_stream_seeds(seeds_arr[planned:stop]))
+                primary.append(None)
+                spec.append(None)
+                # the policy's settled size, not the clipped tail block
+                self.stats.chunk_final = size
+                planned = stop
+
+        def land(bi: int, flat, sizes, edges, sample_s: float) -> None:
+            nonlocal pos, next_land, last_landed
+            t0 = time.perf_counter()
+            if self._mutate_land_order == "reversed":
+                held.append((flat.copy(), sizes.copy()))  # landed at the end
+            else:
+                collection.append_batch(flat, sizes, total=len(flat))
+            self.stats.landing_seconds += time.perf_counter() - t0
+            per_sample[pos : pos + len(edges)] = edges
+            pos += len(edges)
+            if self._sink is not None:
+                self._sink.append_block(blocks[bi], flat, sizes, edges)
+                self._refresh_checkpoint_stats()
+            if self._mutate_replay_overlap:
+                # arena extents are recycled between calls: stash a
+                # private copy, not the zero-copy landing views
+                last_landed = (flat.copy(), sizes.copy())
+            if policy is not None:
+                policy.observe(len(blocks[bi]), sample_s)
+            self.stats.blocks_landed += 1
+            self._fault_clock += 1
+            primary[bi] = spec[bi] = None
+            next_land = max(next_land, bi + 1)
+
+        def usable(fut: Future | None) -> bool:
+            return fut is not None and fut.done() and fut.exception() is None
+
+        def submit(bi: int, *, clean: bool = False) -> Future:
+            sleep_s = 0.0
+            if self._sleep_factors and not clean:
+                sleep_s = self._sleep_for_block(base + bi)
+            return self.submit_block(blocks[bi], seed, edge_flip, sleep_s=sleep_s)
+
+        def submit_new() -> None:
+            """Submit planned blocks that have no primary execution yet."""
+            for bi in range(next_land, len(blocks)):
+                if primary[bi] is None:
+                    primary[bi] = submit(bi)
+
+        def resubmit_lost() -> None:
+            """After a rebuild: re-run every un-landed block whose result
+            is gone.
+
+            Completed futures survive a pool break with their results —
+            those blocks are not re-run; everything else is replayed
+            deterministically into *fresh* arena extents (same indices,
+            same streams, same bytes).
+            """
+            for bi in range(next_land, len(blocks)):
+                if not usable(primary[bi]):
+                    if primary[bi] is not None:
+                        self.stats.blocks_replayed += 1
+                    primary[bi] = submit(bi)
+                if spec[bi] is not None and not usable(spec[bi]):
+                    spec[bi] = None
+            while self._need_spare > 0:  # replace promoted spares
+                self._need_spare -= 1
+                try:
+                    self._spares.append(self.spawn_pool(warm=True))
+                    self.stats.spares_spawned += 1
+                except Exception as exc:  # pragma: no cover - fork pressure
+                    _log.warning("could not replenish spare pool: %s", exc)
+                    break
+
+        def recover(reason: str) -> None:
+            self.stats.crashes_observed += 1
+            _log.warning(
+                "worker pool failure (%s): crash %d against budget %d",
+                reason,
+                self.stats.crashes_observed,
+                self.crash_budget,
+            )
+            if self.stats.crashes_observed > self.crash_budget:
+                self._exhausted(reason)
+            delay = min(self.backoff_cap, self.backoff_base * (2**self.stats.rebuilds))
+            if delay > 0:
+                time.sleep(delay)
+                self.stats.backoff_seconds += delay
+            promoted = None
+            if self._spares:
+                promoted = self._spares.popleft()
+                self.stats.promotions += 1
+                self._need_spare += 1
+            self.rebuild_pool(promoted)
+            self.stats.rebuilds += 1
+            if self._mutate_replay_overlap and last_landed is not None:
+                # the injected replay-overlap bug: recovery re-lands the
+                # block that already landed before the crash
+                collection.append_batch(*last_landed)
+
+        def await_head(bi: int):
+            """Wait for block ``bi``'s first checksum-valid result.
+
+            Returns ``(flat, sizes, edges, sample_s)``, or ``None`` after
+            a recovery (the caller resubmits what was lost).
+            """
+            nonlocal task_deadline
+            wait_start = time.monotonic()
+            while True:
+                cands = [f for f in (primary[bi], spec[bi]) if f is not None]
+                now = time.monotonic()
+                waits = []
+                if self._deadline_at is not None:
+                    waits.append(self._deadline_at - now)
+                if task_deadline is not None:
+                    waits.append(task_deadline - now)
+                spec_at = None
+                if (
+                    spec[bi] is None
+                    and self.straggler_factor is not None
+                    and len(self._service_times) >= self.straggler_min_history
+                ):
+                    spec_at = wait_start + max(
+                        self.straggler_floor,
+                        self.straggler_factor * statistics.median(self._service_times),
+                    )
+                    waits.append(spec_at - now)
+                timeout = max(0.0, min(waits)) if waits else None
+                done, _ = _futures_wait(
+                    cands, timeout=timeout, return_when=FIRST_COMPLETED
+                )
+                if not done:
+                    now = time.monotonic()
+                    if self._deadline_at is not None and now >= self._deadline_at:
+                        self._degrade(len(collection))
+                    if spec_at is not None and now >= spec_at:
+                        # Whichever copy loses still accumulated its
+                        # samples into a worker counter row — the fused
+                        # books cannot balance after a duplicate.
+                        self._invalidate_fused("speculative duplicate launched")
+                        try:
+                            spec[bi] = submit(bi, clean=True)
+                        except BrokenProcessPool:
+                            recover("speculative submission hit a broken pool")
+                            return None
+                        self.stats.speculative_launched += 1
+                        continue
+                    if task_deadline is not None and now >= task_deadline:
+                        recover(f"no progress for {self.task_timeout}s (pool wedged)")
+                        task_deadline = time.monotonic() + self.task_timeout
+                        return None
+                    continue  # woke before any of our own deadlines
+                # Prefer a cleanly completed candidate; the checksum check
+                # below decides whether it may land.
+                winner = next((f for f in done if f.exception() is None), None)
+                if winner is None:
+                    exc = next(iter(done)).exception()
+                    if isinstance(exc, (BrokenProcessPool, OSError)):
+                        recover(f"worker died mid-block ({type(exc).__name__})")
+                        return None
+                    self.close()
+                    raise exc
+                flat, sizes, edges, checksum, sample_s = self._materialize(winner)
+                if checksum != expected[bi]:
+                    # first *checksum-valid* result wins: drop this
+                    # candidate and keep waiting on the other, if any
+                    self._invalidate_fused("checksum-invalid candidate dropped")
+                    if winner is spec[bi]:
+                        spec[bi] = None
+                    else:
+                        primary[bi], spec[bi] = spec[bi], None
+                    if primary[bi] is None:
+                        self.close()
+                        raise EngineProtocolError(
+                            f"block {bi} stream-checksum mismatch from every "
+                            "candidate: workers did not sample the indices sent"
+                        )
+                    continue
+                if winner is spec[bi]:
+                    self.stats.speculative_wins += 1
+                if self.straggler_factor is not None:
+                    self._service_times.append(time.monotonic() - wait_start)
+                return flat, sizes, edges, sample_s
+
+        need_resubmit = False
+        while next_land < len(blocks) or planned < total:
+            plan_more()
+            bi = next_land
+            if not pooled:
+                self._check_deadline(len(collection))
+                t0 = time.perf_counter()
+                flat, sizes, edges = _sample_block(
+                    self._local, blocks[bi], seed, edge_flip
+                )
+                land(bi, flat, sizes, edges, time.perf_counter() - t0)
+                continue
+            try:
+                if need_resubmit:
+                    resubmit_lost()
+                    need_resubmit = False
+                else:
+                    submit_new()
+            except BrokenProcessPool:
+                recover("submission hit a broken pool")
+                need_resubmit = True
+                continue
+            if self._kill_events and self._fire_due_kills(base + bi):
+                self._await_pool_break()
+                recover("injected worker kill broke the pool")
+                need_resubmit = True
+                continue
+            got = await_head(bi)
+            if got is None:
+                need_resubmit = True
+                continue
+            if (
+                self._mutate_spec_order
+                and spec[bi] is not None  # a speculative copy raced
+                and bi + 1 < len(blocks)
+                and self._sink is None
+                and usable(primary[bi + 1])
+            ):
+                # the injected race bug: the speculative win lands
+                # *behind* its successor block
+                flat2, sizes2, edges2, _, sample_s2 = self._materialize(
+                    primary[bi + 1]
+                )
+                land(bi + 1, flat2, sizes2, edges2, sample_s2)
+            land(bi, *got)
+            if task_deadline is not None:  # progress resets the watchdog
+                task_deadline = time.monotonic() + self.task_timeout
+        for flat, sizes in reversed(held):
+            collection.append_batch(flat, sizes)
         return per_sample
 
     # -- selection counting kernel -------------------------------------------
+
+    def _fused_total(self, incidences: int, minlength: int) -> np.ndarray | None:
+        """The fused-counter merge, when the books balance: every one of
+        ``incidences`` was accumulated block by block in a counter row
+        since the epoch began, and nothing is in flight."""
+        if not (
+            self._pool is not None
+            and self._fused_valid
+            and self._counter_matrix is not None
+            and minlength == self.graph.n
+            and incidences == self._fused_incidences
+            and not self._inflight
+        ):
+            return None
+        t0 = time.perf_counter()
+        total = self._counter_matrix.sum(axis=0)
+        if self._fused_parent is not None:
+            total = total + self._fused_parent
+        self.stats.count_merge_seconds += time.perf_counter() - t0
+        self.stats.fused_count_merges += 1
+        return total
 
     def count_partitioned(self, flat: np.ndarray, minlength: int) -> np.ndarray:
         """Partitioned replacement for ``np.bincount(flat, minlength)``.
@@ -1070,26 +1675,13 @@ class ParallelSamplingEngine:
            summed in the parent (integer addition is exact).
         3. **Serial** — no pool, small arrays, or a crash mid-count
            (logged and counted in ``stats.count_fallbacks``; the broken
-           pool is left for the next sampling call — or the supervisor
-           — to deal with).
+           pool is left for the next sampling call to rebuild).
         """
         self._require_open()
         flat = np.asarray(flat)
-        if (
-            self._pool is not None
-            and self._fused_valid
-            and self._counter_matrix is not None
-            and minlength == self.graph.n
-            and len(flat) == self._fused_incidences
-            and not self._inflight
-        ):
-            t0 = time.perf_counter()
-            total = self._counter_matrix.sum(axis=0)
-            if self._fused_parent is not None:
-                total = total + self._fused_parent
-            self.stats.count_merge_seconds += time.perf_counter() - t0
-            self.stats.fused_count_merges += 1
-            return total
+        fused = self._fused_total(len(flat), minlength)
+        if fused is not None:
+            return fused
         if self._pool is None or len(flat) < PARALLEL_COUNT_THRESHOLD:
             return np.bincount(flat, minlength=minlength)
         bounds = np.linspace(0, len(flat), self.workers + 1, dtype=np.int64)
@@ -1138,19 +1730,28 @@ class ParallelSamplingEngine:
         serial bincount of the original ids.
         """
         self._require_open()
-        if (
-            self._pool is not None
-            and self._fused_valid
-            and self._counter_matrix is not None
-            and minlength == self.graph.n
-            and collection.total_entries == self._fused_incidences
-            and not self._inflight
-        ):
-            t0 = time.perf_counter()
-            total = self._counter_matrix.sum(axis=0)
-            if self._fused_parent is not None:
-                total = total + self._fused_parent
-            self.stats.count_merge_seconds += time.perf_counter() - t0
-            self.stats.fused_count_merges += 1
-            return total
-        return collection.counters()
+        fused = self._fused_total(collection.total_entries, minlength)
+        return fused if fused is not None else collection.counters()
+
+
+def build_sampling_engine(
+    graph: CSRGraph,
+    model: DiffusionModel | str,
+    *,
+    workers: int,
+    start_method: str | None = None,
+    supervisor_opts: dict | None = None,
+) -> ParallelSamplingEngine:
+    """Engine factory shared by the ``imm``/``imm_sweep`` drivers.
+
+    ``supervisor_opts`` passes through any :class:`ParallelSamplingEngine`
+    keyword (``spares``, ``deadline``, ``checkpoint_dir``, ``resume_from``,
+    ``fault_plan``, crash-budget and straggler knobs, ...).
+    """
+    return ParallelSamplingEngine(
+        graph,
+        model,
+        workers=workers,
+        start_method=start_method,
+        **(supervisor_opts or {}),
+    )

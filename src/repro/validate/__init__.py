@@ -59,7 +59,7 @@ from .serving import (
     check_index_graph_binding,
     check_serving_equivalence,
 )
-from .supervision import check_supervised_equivalence, check_supervised_sampling
+from .supervision import check_supervised_equivalence
 
 __all__ = [
     "Violation",
@@ -85,7 +85,6 @@ __all__ = [
     "check_partitioned_equivalence",
     "check_community_driver",
     "check_supervised_equivalence",
-    "check_supervised_sampling",
     "check_serving_equivalence",
     "check_compressed_serving",
     "check_index_graph_binding",

@@ -1,10 +1,11 @@
 """Equivalence checks for the process-pool sampling engine.
 
 The parallel engine's whole value proposition is the determinism
-contract: for any worker count, chunk size, arena sizing, and start
-method it must produce the **bit-identical** collection (and per-sample
-edge meters) that the serial and batched engines produce.  This module
-states that contract as oracle checks:
+contract: for any worker count, chunk size, arena sizing, start method,
+and mix of worker crashes, stragglers and resumes it must produce the
+**bit-identical** collection (and per-sample edge meters) that the
+serial and batched engines produce.  This module states that contract
+as oracle checks:
 
 ``engine.collection-bitwise``
     flat vertex buffer and sample boundaries equal the batched
@@ -27,12 +28,13 @@ checker: a corrupted arena extent can surface as a landing-time
 rather than as silently wrong bytes, and the oracle must treat both
 the same way.
 
-The checker accepts a pre-built engine (``engine=``) so the mutation
-suite can hand it a deliberately broken one (``_mutate_land_order`` /
-``_mutate_stream_offset`` / ``_mutate_arena_overlap`` /
-``_mutate_fused_drop``) and demand these checks light up — proving the
-oracle would catch a real landing-order, stream-offset, extent-overlap,
-or fused-undercount bug, not just asserting the healthy path.
+The checker accepts a pre-built engine (``engine=``) so callers can
+hand it one with injected faults (the recovery axes of
+:mod:`repro.validate.supervision`) or a deliberately broken one (any
+``_mutate_*`` hook of the engine) and demand these checks stay green or
+light up — proving the oracle would catch a real landing-order,
+stream-offset, extent-overlap, fused-undercount, replay, resume or
+speculation bug, not just asserting the healthy path.
 """
 
 from __future__ import annotations
@@ -63,7 +65,8 @@ def check_engine_sampling(
     once) and every chunk size is driven through it via the per-call
     ``chunk_size`` override; a final tiny-arena engine exercises the
     growable-segment axis.  When ``engine`` is given, only that engine
-    is exercised (the mutation-suite path).
+    is exercised (the fault-injection and mutation-suite path); the
+    caller owns it.
     """
     rep = ValidationReport()
     indices = np.arange(theta, dtype=np.int64)

@@ -28,9 +28,9 @@ worker reorders landing     ``engine.collection-bitwise``
 worker wrong stream offset  ``engine.collection-bitwise``
 arena extent overlap        ``engine.collection-bitwise``
 fused counter drops block   ``engine.count-partitioned``
-replay lands block twice    ``supervised.collection-bitwise``
-resume skips the cursor     ``supervised.collection-bitwise``
-speculation lands reordered ``supervised.collection-bitwise``
+replay lands block twice    ``engine.collection-bitwise``
+resume skips the cursor     ``engine.collection-bitwise``
+speculation lands reordered ``engine.collection-bitwise``
 stale index after change    ``serving.graph-binding``
 tighten wrong stream offset ``serving.extension-bitwise``
 rank perm not inverted      ``collection.compressed-decode`` invariant
@@ -63,7 +63,6 @@ from ..sampling import (
     sample_batch,
 )
 from ..sampling.parallel_engine import ParallelSamplingEngine
-from ..sampling.supervisor import SupervisedSamplingEngine
 from .engine import check_engine_sampling
 from .invariants import (
     check_compressed_collection,
@@ -74,7 +73,6 @@ from .recovery import check_degraded_accounting, check_rebuild_fidelity
 from .schedule import check_theta_schedule
 from .selection import check_selection_reference
 from .serving import check_index_bitwise, check_index_graph_binding
-from .supervision import check_supervised_sampling
 
 __all__ = ["MutantResult", "run_mutation_suite", "SMOKE_MUTANTS"]
 
@@ -484,20 +482,20 @@ def _mutant_fused_drop(seed: int) -> MutantResult:
 def _mutant_replay_overlap(seed: int) -> MutantResult:
     """Crash recovery that re-lands the last already-landed block.
 
-    The classic replay-cursor bug: after a pool rebuild the supervisor
+    The classic replay-cursor bug: after a pool rebuild the engine
     restarts from the block *before* the landing cursor.  Every byte it
     appends is individually valid — only the bitwise comparison of the
     assembled collection (now one block too long) can see it.
     """
     graph = load(_MUTATION_DATASET, "IC")
-    with SupervisedSamplingEngine(
+    with ParallelSamplingEngine(
         graph, "IC", workers=2, chunk_size=37, backoff_base=0.0,
         fault_plan="crash:0@2", _mutate_replay_overlap=True,
     ) as eng:
-        report = check_supervised_sampling(
-            graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng
+        report = check_engine_sampling(
+            graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng,
         )
-    detected, evidence = _violated(report, "supervised.collection-bitwise")
+    detected, evidence = _violated(report, "engine.collection-bitwise")
     return MutantResult(
         "replay-lands-block-twice",
         "crash recovery re-appends the block that landed before the kill",
@@ -520,21 +518,21 @@ def _mutant_resume_skip(seed: int) -> MutantResult:
     graph = load(_MUTATION_DATASET, "IC")
     with tempfile.TemporaryDirectory(prefix="repro-mutant-ck-") as td:
         ckdir = os.path.join(td, "run")
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             graph, "IC", workers=2, chunk_size=37, checkpoint_dir=ckdir
         ) as eng:
             partial = SortedRRRCollection(graph.n)
             eng.sample_into(
                 partial, np.arange(_MUTATION_THETA // 2, dtype=np.int64), seed
             )
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             graph, "IC", workers=2, chunk_size=37, resume_from=ckdir,
             _mutate_resume_skip=True,
         ) as eng:
-            report = check_supervised_sampling(
-                graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng
+            report = check_engine_sampling(
+                graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng,
             )
-    detected, evidence = _violated(report, "supervised.collection-bitwise")
+    detected, evidence = _violated(report, "engine.collection-bitwise")
     return MutantResult(
         "resume-skips-cursor",
         "resume drops the first sample past the checkpointed prefix",
@@ -547,21 +545,21 @@ def _mutant_spec_order(seed: int) -> MutantResult:
     """Speculative win that lands behind its successor block.
 
     The race every speculation implementation risks: the copy of the
-    laggard block finishes after its successor and the supervisor lands
+    laggard block finishes after its successor and the engine lands
     them in completion order instead of index order.  Both blocks'
     bytes are correct, so only the bitwise comparison sees the swap.
     """
     graph = load(_MUTATION_DATASET, "IC")
-    with SupervisedSamplingEngine(
+    with ParallelSamplingEngine(
         graph, "IC", workers=2, chunk_size=37, backoff_base=0.0,
         fault_plan="straggler:2x4", straggler_sleep=0.15,
         straggler_floor=0.02, straggler_factor=2.0, straggler_min_history=2,
         _mutate_spec_order=True,
     ) as eng:
-        report = check_supervised_sampling(
-            graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng
+        report = check_engine_sampling(
+            graph, "IC", _MUTATION_THETA, seed, "mutant", engine=eng,
         )
-    detected, evidence = _violated(report, "supervised.collection-bitwise")
+    detected, evidence = _violated(report, "engine.collection-bitwise")
     return MutantResult(
         "speculative-result-raced-in-wrong-order",
         "speculative win lands after its successor block (completion order)",

@@ -257,7 +257,16 @@ def _check_sampling_equivalence(
     # Hypergraph layout fed by both engines: same samples, and the
     # layout-specific selector must pick the same seeds.
     hyper = HypergraphRRRCollection(graph.n)
-    sample_batch(graph, model, hyper, theta, cfg.seed, engine="batched")
+    try:
+        sample_batch(graph, model, hyper, theta, cfg.seed, engine="batched")
+    except ValueError as exc:  # landing rejected the batched samples
+        rep.check(
+            False,
+            "oracle.layout-contents",
+            subject,
+            f"batched engine produced samples the hypergraph layout rejects: {exc}",
+        )
+        return rep, ref_coll
     rep.merge(check_collection(hyper, f"{subject} layout=hypergraph"))
     same_lists = len(hyper) == len(ref_coll) and all(
         np.array_equal(a, b) for a, b in zip(hyper, ref_coll)
@@ -525,7 +534,8 @@ def check_compressed_layout(
     if cfg.check_supervised:
         sup = imm(
             graph, k, eps, model, seed=seed, layout="compressed",
-            theta_cap=cap, workers=cfg.supervised_workers, supervise=True,
+            theta_cap=cap, workers=cfg.supervised_workers,
+            supervisor_opts={"spares": 1, "straggler_factor": 4.0},
         )
         subs = f"{subject} imm[compressed, supervised]"
         rep.check(

@@ -1,11 +1,13 @@
-"""Supervised-engine oracle: self-healing must not change a single bit.
+"""Engine recovery oracle: self-healing must not change a single bit.
 
-The supervisor's promise is stronger than "it recovers": every recovery
-mechanism — crash replay, spare promotion, straggler speculation,
-checkpoint/resume — must reproduce the *exact* bytes the unsupervised
-serial run produces, because the per-sample counter streams make the
-output a pure function of ``(graph, model, seed, index)``.  This module
-turns that promise into checked claims, one per axis:
+The process-pool engine's promise is stronger than "it recovers": every
+recovery mechanism — crash replay, spare promotion, straggler
+speculation, checkpoint/resume — must reproduce the *exact* bytes the
+fault-free serial run produces, because the per-sample counter streams
+make the output a pure function of ``(graph, model, seed, index)``.
+This module turns that promise into checked claims, one per axis; the
+bytes of every axis are judged by
+:func:`~repro.validate.engine.check_engine_sampling`:
 
 * **crash** — SIGKILLs injected into live worker processes
   (``crash:r@N`` / ``switch:lo-hi@N`` on the real pool) must leave the
@@ -19,8 +21,8 @@ turns that promise into checked claims, one per axis:
   same block).
 
 * **deadline** — expiry must raise
-  :class:`~repro.sampling.supervisor.DeadlineExceededError` (never a
-  silent full-θ result), with the landed prefix bit-exact; the ``imm``
+  :class:`~repro.sampling.parallel_engine.DeadlineExceededError` (never
+  a silent full-θ result), with the landed prefix bit-exact; the ``imm``
   driver must surface it as a flagged
   :class:`~repro.imm.result.DegradedResult` whose effective ε is no
   better than the requested one.
@@ -29,10 +31,6 @@ turns that promise into checked claims, one per axis:
   an earlier (partial) run must be bit-identical to sampling from
   scratch, and the prefix must genuinely come from the spill
   (``resumed_samples`` equals the checkpointed sample count).
-
-:func:`check_supervised_sampling` is the primitive the mutation suite
-leans on: any supervised engine driven over ``[0, theta)`` must
-assemble exactly the serial reference collection.
 """
 
 from __future__ import annotations
@@ -44,59 +42,20 @@ import numpy as np
 
 from ..imm import imm
 from ..sampling import RRRSampler, SortedRRRCollection, sample_batch
-from ..sampling.supervisor import DeadlineExceededError, SupervisedSamplingEngine
+from ..sampling.parallel_engine import DeadlineExceededError, ParallelSamplingEngine
+from .engine import check_engine_sampling
 from .report import ValidationReport
 
-__all__ = ["check_supervised_sampling", "check_supervised_equivalence"]
+__all__ = ["check_supervised_equivalence"]
 
 
 def _serial_reference(graph, model: str, theta: int, seed: int):
     coll = SortedRRRCollection(graph.n)
-    batch = sample_batch(
+    sample_batch(
         graph, model, coll, theta, seed,
         sampler=RRRSampler(graph, model), engine="serial",
     )
-    return coll, batch
-
-
-def _bitwise_equal(coll, ref) -> bool:
-    if len(coll) != len(ref):
-        return False
-    flat, indptr, _ = coll.flattened()
-    ref_flat, ref_indptr, _ = ref.flattened()
-    return bool(
-        np.array_equal(flat, ref_flat) and np.array_equal(indptr, ref_indptr)
-    )
-
-
-def check_supervised_sampling(
-    graph, model: str, theta: int, seed: int, subject: str, *, engine
-) -> ValidationReport:
-    """Drive ``engine`` over ``[0, theta)``; demand the serial bytes.
-
-    The caller owns the engine (and injects its faults/mutations); this
-    is the shared detector for both the oracle axes and the supervisor
-    mutants.
-    """
-    rep = ValidationReport()
-    ref, ref_batch = _serial_reference(graph, model, theta, seed)
-    coll = SortedRRRCollection(graph.n)
-    per_sample = engine.sample_into(coll, np.arange(theta, dtype=np.int64), seed)
-    rep.check(
-        _bitwise_equal(coll, ref),
-        "supervised.collection-bitwise",
-        subject,
-        f"supervised collection diverges from the serial reference "
-        f"({len(coll)} vs {len(ref)} samples, "
-        f"{coll.total_entries} vs {ref.total_entries} entries)",
-    )
-    rep.check(
-        bool(np.array_equal(per_sample, ref_batch.per_sample_edges)),
-        "supervised.per-sample-edges",
-        subject,
-        "supervised engine disagrees with serial on per-sample edge counts",
-    )
-    return rep
+    return coll
 
 
 def check_supervised_equivalence(
@@ -111,19 +70,23 @@ def check_supervised_equivalence(
     # history before the straggler block comes up.
     chunk = max(1, theta // 10)
 
-    def engine(**kw) -> SupervisedSamplingEngine:
-        return SupervisedSamplingEngine(
+    def engine(**kw) -> ParallelSamplingEngine:
+        return ParallelSamplingEngine(
             graph, model, workers=workers, chunk_size=chunk,
             backoff_base=0.0, **kw,
         )
 
-    # -- crash: real SIGKILL of one worker, then of a contiguous group ---
-    for spec in ("crash:0@2", f"switch:0-{workers - 1}@3"):
-        with engine(fault_plan=spec) as eng:
+    def drive(eng: ParallelSamplingEngine, sub: str) -> None:
+        rep.merge(check_engine_sampling(
+            graph, model, theta, seed, sub, engine=eng,
+        ))
+
+    # -- crash: real SIGKILL of one worker (healed by promoting a spare),
+    # then of a contiguous group (healed by a cold respawn) --------------
+    for spec, spares in (("crash:0@2", 1), (f"switch:0-{workers - 1}@3", 0)):
+        with engine(fault_plan=spec, spares=spares) as eng:
             sub = f"{subject} supervised[{spec}]"
-            rep.merge(check_supervised_sampling(
-                graph, model, theta, seed, sub, engine=eng,
-            ))
+            drive(eng, sub)
             rep.check(
                 eng.stats.injected_crashes >= 1 and eng.stats.rebuilds >= 1,
                 "supervised.fault-fired",
@@ -137,14 +100,9 @@ def check_supervised_equivalence(
     # A 4 KiB first output-arena segment forces the growable-segment
     # path while a worker is killed mid-run: replayed blocks must land
     # from freshly reserved extents with the bytes unchanged.
-    with SupervisedSamplingEngine(
-        graph, model, workers=workers, chunk_size=chunk,
-        backoff_base=0.0, arena_bytes=4096, fault_plan="crash:0@2",
-    ) as eng:
+    with engine(arena_bytes=4096, fault_plan="crash:0@2") as eng:
         sub = f"{subject} supervised[arena=4KiB, crash:0@2]"
-        rep.merge(check_supervised_sampling(
-            graph, model, theta, seed, sub, engine=eng,
-        ))
+        drive(eng, sub)
         rep.check(
             eng.stats.arena_segments >= 2,
             "supervised.arena-growth",
@@ -159,9 +117,7 @@ def check_supervised_equivalence(
         straggler_floor=0.02, straggler_factor=2.0, straggler_min_history=2,
     ) as eng:
         sub = f"{subject} supervised[straggler:3x4]"
-        rep.merge(check_supervised_sampling(
-            graph, model, theta, seed, sub, engine=eng,
-        ))
+        drive(eng, sub)
         rep.check(
             eng.stats.injected_sleeps >= 1
             and eng.stats.speculative_launched >= 1,
@@ -172,7 +128,7 @@ def check_supervised_equivalence(
         )
 
     # -- deadline: expiry raises, never silently reports full θ ----------
-    ref, _ = _serial_reference(graph, model, theta, seed)
+    ref = _serial_reference(graph, model, theta, seed)
     eng = engine(deadline=1e-4)
     try:
         coll = SortedRRRCollection(graph.n)
@@ -214,9 +170,7 @@ def check_supervised_equivalence(
             written = eng.stats.checkpoint_bytes
         with engine(resume_from=ckdir) as eng:
             sub = f"{subject} supervised[resume]"
-            rep.merge(check_supervised_sampling(
-                graph, model, theta, seed, sub, engine=eng,
-            ))
+            drive(eng, sub)
             rep.check(
                 eng.stats.resumed_samples == half and written > 0,
                 "supervised.resume-used",
@@ -231,7 +185,7 @@ def check_supervised_equivalence(
     base = imm(graph, k, eps, model, seed=seed, layout="sorted", theta_cap=cap)
     res = imm(
         graph, k, eps, model, seed=seed, layout="sorted", theta_cap=cap,
-        workers=workers, supervise=True,
+        workers=workers,
         supervisor_opts={
             "fault_plan": "crash:0@2", "chunk_size": chunk, "backoff_base": 0.0,
         },
@@ -246,7 +200,7 @@ def check_supervised_equivalence(
         f"seed sets diverge: {base.seeds.tolist()} vs {res.seeds.tolist()}; "
         f"theta {base.theta} vs {res.theta}",
     )
-    sup = res.extra["supervisor"]
+    sup = res.extra["engine"]
     rep.check(
         sup["injected_crashes"] >= 1 and not res.extra.get("degraded", False),
         "supervised.driver-recovered",
@@ -258,7 +212,7 @@ def check_supervised_equivalence(
     # -- end-to-end: the imm driver degrades honestly on deadline --------
     res = imm(
         graph, k, eps, model, seed=seed, layout="sorted", theta_cap=cap,
-        workers=workers, supervise=True, supervisor_opts={"deadline": 1e-4},
+        workers=workers, supervisor_opts={"deadline": 1e-4},
     )
     sub = f"{subject} imm[supervised, deadline]"
     ex = res.extra

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.sampling import HypergraphRRRCollection, SortedRRRCollection
+from repro.sampling import (
+    CompressedRRRCollection,
+    HypergraphRRRCollection,
+    SortedRRRCollection,
+)
 from repro.sampling.collection import (
     SAMPLE_ID_BYTES,
     VECTOR_HEADER_BYTES,
@@ -43,16 +47,6 @@ class TestSortedCollection:
         coll.extend(SETS)
         assert coll.counters().tolist() == [1, 1, 2, 0, 0, 2]
 
-    def test_unsorted_input_rejected(self):
-        coll = SortedRRRCollection(6)
-        with pytest.raises(ValueError, match="sorted"):
-            coll.append(np.array([3, 1], np.int32))
-
-    def test_duplicate_vertices_rejected(self):
-        coll = SortedRRRCollection(6)
-        with pytest.raises(ValueError, match="sorted"):
-            coll.append(np.array([1, 1], np.int32))
-
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="root"):
             SortedRRRCollection(6).append(np.empty(0, np.int32))
@@ -73,6 +67,30 @@ class TestSortedCollection:
         assert len(flat) == 0
         assert indptr.tolist() == [0]
         assert coll.counters().tolist() == [0, 0, 0, 0]
+
+
+LAYOUTS = [SortedRRRCollection, HypergraphRRRCollection, CompressedRRRCollection]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("verts", [[3, 1], [2, 2]], ids=["unsorted", "duplicate"])
+class TestLandingRejection:
+    """Every layout runs the same landing validator: a sample that is
+    unsorted or holds a duplicate vertex is rejected by ``append`` and
+    by ``append_batch`` alike, and nothing is stored."""
+
+    def test_append_rejects(self, layout, verts):
+        coll = layout(6)
+        with pytest.raises(ValueError, match="sorted"):
+            coll.append(np.array(verts, np.int32))
+        assert len(coll) == 0 and coll.total_entries == 0
+
+    def test_append_batch_rejects(self, layout, verts):
+        coll = layout(6)
+        flat = np.array([0, *verts], np.int64)  # a valid sample, then the bad one
+        with pytest.raises(ValueError, match="sorted"):
+            coll.append_batch(flat, np.array([1, 2]))
+        assert len(coll) == 0 and coll.total_entries == 0
 
 
 class TestAppendBatchBoundaries:

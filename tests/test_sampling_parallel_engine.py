@@ -6,9 +6,10 @@ The engine's contract has three legs, each exercised here:
   method the produced collection, per-sample edge meters, and seed sets
   equal the serial/batched engines' output exactly (counter-addressed
   streams make sample ``j`` schedule-independent);
-* **typed failure** — a dead worker raises :class:`WorkerCrashError`
-  without hanging the parent, and the shared-memory segments are
-  unlinked on every exit path (no ``resource_tracker`` leak warnings);
+* **typed failure** — with ``crash_budget=0`` a dead worker raises
+  :class:`WorkerCrashError` without hanging the parent, and the
+  shared-memory segments are unlinked on every exit path (no
+  ``resource_tracker`` leak warnings);
 * **degeneracy** — ``workers=1`` runs fully in-process (no pool, no
   shared memory) and is the same object model as the batched sampler.
 
@@ -236,7 +237,7 @@ class TestOutputArena:
         growth segments allocated mid-run (4 KiB start forces them)."""
         eng = ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=50,
-            arena_bytes=4096, _crash_block=1,
+            arena_bytes=4096, crash_budget=0, fault_plan="crash:0@1",
         )
         names: list[str] = []
         orig = eng._new_arena_segment
@@ -288,7 +289,8 @@ class TestFailureModes:
     def test_worker_crash_raises_typed_error_and_unlinks(self, ba_graph):
         """A worker dying mid-block must not hang or leak segments."""
         eng = ParallelSamplingEngine(
-            ba_graph, "IC", workers=2, chunk_size=50, _crash_block=1
+            ba_graph, "IC", workers=2, chunk_size=50,
+            crash_budget=0, fault_plan="crash:0@1",
         )
         seg_names = [seg.name for seg in eng._segments]
         assert seg_names  # the pool mode really did share memory

@@ -1,6 +1,7 @@
-"""Tests for the self-healing sampling runtime (repro.sampling.supervisor).
+"""Tests for the self-healing side of the process-pool sampling engine.
 
-The supervisor's contract, each leg exercised here:
+The recovery contract of :class:`ParallelSamplingEngine`, each leg
+exercised here:
 
 * **bit-identity under recovery** — injected SIGKILLs (single worker or
   a whole group), injected stragglers, and checkpoint/resume all
@@ -12,7 +13,8 @@ The supervisor's contract, each leg exercised here:
   ``imm`` driver surfaces it as a flagged
   :class:`~repro.imm.result.DegradedResult` (never a silent full-θ
   result); an exhausted crash budget raises
-  :class:`CrashBudgetExhaustedError` with the engine fully cleaned up.
+  :class:`CrashBudgetExhaustedError` (a :class:`WorkerCrashError`) with
+  the engine fully cleaned up.
 * **durable checkpoints** — the block spill survives process death
   (write-ahead data + atomic cursor), rejects mismatched identities,
   and truncates torn tails on reopen.
@@ -39,14 +41,13 @@ from repro.sampling import (
     BatchedRRRSampler,
     BlockCheckpointSink,
     CheckpointError,
-    SortedRRRCollection,
-)
-from repro.sampling.supervisor import (
     CrashBudgetExhaustedError,
     DeadlineExceededError,
-    SupervisedSamplingEngine,
-    build_sampling_engine,
+    ParallelSamplingEngine,
+    SortedRRRCollection,
+    WorkerCrashError,
 )
+from repro.sampling.parallel_engine import build_sampling_engine
 
 THETA = 300
 
@@ -77,20 +78,20 @@ class TestSerialSupervised:
 
     def test_bitwise_equal(self, ba_graph):
         ref = _reference(ba_graph, "IC", THETA, seed=3)
-        with SupervisedSamplingEngine(ba_graph, "IC", workers=1) as eng:
+        with ParallelSamplingEngine(ba_graph, "IC", workers=1) as eng:
             got = _drive(eng, ba_graph, THETA, seed=3)
         _assert_bitwise(got, ref)
 
     def test_checkpoint_then_resume(self, ba_graph, tmp_path):
         ck = tmp_path / "run"
         ref = _reference(ba_graph, "IC", THETA, seed=3)
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=1, checkpoint_dir=ck
         ) as eng:
             coll = SortedRRRCollection(ba_graph.n)
             eng.sample_into(coll, np.arange(120, dtype=np.int64), 3)
             assert eng.stats.checkpoint_bytes > 0
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=1, resume_from=ck
         ) as eng:
             got = _drive(eng, ba_graph, THETA, seed=3)
@@ -98,7 +99,7 @@ class TestSerialSupervised:
         _assert_bitwise(got, ref)
 
     def test_deadline_raises_with_prefix(self, ba_graph):
-        eng = SupervisedSamplingEngine(ba_graph, "IC", workers=1, deadline=1e-4)
+        eng = ParallelSamplingEngine(ba_graph, "IC", workers=1, deadline=1e-4)
         try:
             time.sleep(0.002)
             coll = SortedRRRCollection(ba_graph.n)
@@ -110,22 +111,26 @@ class TestSerialSupervised:
             eng.close()
 
     def test_factory(self, ba_graph):
-        eng = build_sampling_engine(ba_graph, "IC", workers=1, supervise=True)
-        assert isinstance(eng, SupervisedSamplingEngine)
-        eng.close()
         eng = build_sampling_engine(ba_graph, "IC", workers=1)
-        assert not isinstance(eng, SupervisedSamplingEngine)
+        assert isinstance(eng, ParallelSamplingEngine)
+        assert (eng.spares, eng.crash_budget) == (0, 3)
+        assert eng.straggler_factor is None and eng.deadline is None
         eng.close()
-        with pytest.raises(ValueError, match="supervise=True"):
+        eng = build_sampling_engine(
+            ba_graph, "IC", workers=1, supervisor_opts={"crash_budget": 0}
+        )
+        assert eng.crash_budget == 0
+        eng.close()
+        with pytest.raises(TypeError):
             build_sampling_engine(
-                ba_graph, "IC", workers=1, supervisor_opts={"spares": 2}
+                ba_graph, "IC", workers=1, supervisor_opts={"supervise": True}
             )
 
     def test_rejects_unmappable_fault_classes(self, ba_graph):
         for plan in ("transient:@2", "corrupt:0@1", "oom:1@2",
                      "crash:0@phase=Sample"):
             with pytest.raises(ValueError):
-                SupervisedSamplingEngine(
+                ParallelSamplingEngine(
                     ba_graph, "IC", workers=1, fault_plan=plan
                 )
 
@@ -139,9 +144,9 @@ class TestInjectedFaults:
         # at the kill point at least one block is provably un-landed and
         # must be replayed — the assertion cannot race run completion.
         ref = _reference(ba_graph, "IC", THETA, seed=3)
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=29, backoff_base=0.0,
-            fault_plan="crash:0@2;straggler:8x2", straggler_factor=None,
+            fault_plan="crash:0@2;straggler:8x2", spares=1,
         ) as eng:
             got = _drive(eng, ba_graph, THETA, seed=3)
             assert eng.stats.injected_crashes == 1
@@ -153,7 +158,7 @@ class TestInjectedFaults:
     def test_switch_group_kill_bitexact(self, ba_graph):
         """Correlated failure: every worker in the pool dies at once."""
         ref = _reference(ba_graph, "IC", THETA, seed=5)
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=29, backoff_base=0.0,
             fault_plan="switch:0-1@3",
         ) as eng:
@@ -164,7 +169,7 @@ class TestInjectedFaults:
 
     def test_straggler_speculation_bitexact(self, ba_graph):
         ref = _reference(ba_graph, "IC", THETA, seed=3)
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=29, backoff_base=0.0,
             fault_plan="straggler:3x4", straggler_sleep=0.15,
             straggler_floor=0.02, straggler_factor=2.0,
@@ -179,7 +184,7 @@ class TestInjectedFaults:
         """A 4 KiB first arena segment plus a mid-run kill: replayed
         blocks land from freshly reserved extents, bytes unchanged."""
         ref = _reference(ba_graph, "IC", THETA, seed=3)
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=29, backoff_base=0.0,
             arena_bytes=4096, fault_plan="crash:0@2",
         ) as eng:
@@ -190,7 +195,7 @@ class TestInjectedFaults:
 
     def test_crash_budget_exhaustion_cleans_up(self, ba_graph, tmp_path):
         ck = tmp_path / "run"
-        eng = SupervisedSamplingEngine(
+        eng = ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=29, backoff_base=0.0,
             crash_budget=0, fault_plan="crash:0@1", checkpoint_dir=ck,
         )
@@ -204,8 +209,9 @@ class TestInjectedFaults:
 
         eng._new_arena_segment = spy
         coll = SortedRRRCollection(ba_graph.n)
-        with pytest.raises(CrashBudgetExhaustedError, match="budget"):
+        with pytest.raises(CrashBudgetExhaustedError, match="budget") as err:
             eng.sample_into(coll, np.arange(THETA, dtype=np.int64), 3)
+        assert isinstance(err.value, WorkerCrashError)  # fail-fast callers
         assert eng.closed  # exhaustion closes pools, spares, and shm
         assert arena_names  # the run really allocated output arena
         for name in arena_names:  # unlinked on the typed-error path too
@@ -222,7 +228,7 @@ class TestInjectedFaults:
         """Process-death recovery: checkpoint, crash out, resume on disk."""
         ck = tmp_path / "run"
         ref = _reference(ba_graph, "IC", THETA, seed=3)
-        eng = SupervisedSamplingEngine(
+        eng = ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=29, backoff_base=0.0,
             crash_budget=0, fault_plan="crash:0@4", checkpoint_dir=ck,
         )
@@ -231,7 +237,7 @@ class TestInjectedFaults:
             eng.sample_into(coll, np.arange(THETA, dtype=np.int64), 3)
         landed = len(coll)
         assert 0 < landed < THETA
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=29, resume_from=ck
         ) as eng:
             got = _drive(eng, ba_graph, THETA, seed=3)
@@ -240,7 +246,7 @@ class TestInjectedFaults:
 
     def test_pool_deadline_prefix(self, ba_graph):
         ref_flat, ref_indptr, _ = _reference(ba_graph, "IC", THETA, seed=3)
-        eng = SupervisedSamplingEngine(
+        eng = ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=29, deadline=1e-4
         )
         try:
@@ -257,10 +263,10 @@ class TestInjectedFaults:
         """task_timeout is per-submission: steady landings must never
         trip it even when the whole run takes longer than the budget."""
         ref = _reference(ba_graph, "IC", THETA, seed=3)
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=29, task_timeout=0.6,
             backoff_base=0.0, fault_plan="straggler:2x2;straggler:5x2",
-            straggler_sleep=0.2, straggler_factor=None,
+            straggler_sleep=0.2,
         ) as eng:
             got = _drive(eng, ba_graph, THETA, seed=3)
             # ~0.8s of injected sleep > 0.6s budget, but per-block
@@ -275,7 +281,7 @@ class TestChaosKill:
 
     def test_external_sigkill_bitexact(self, ba_graph):
         ref = _reference(ba_graph, "IC", 1200, seed=7)
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=2, chunk_size=17, backoff_base=0.0
         ) as eng:
             pids = eng.worker_pids()  # pings: forces lazy worker spawn
@@ -307,7 +313,7 @@ class TestCountFallback:
             % ba_graph.n
         )
         expected = np.bincount(flat, minlength=ba_graph.n)
-        with SupervisedSamplingEngine(
+        with ParallelSamplingEngine(
             ba_graph, "IC", workers=2, backoff_base=0.0
         ) as eng:
             for pid in eng.worker_pids():
@@ -321,23 +327,27 @@ class TestCountFallback:
 class TestSupervisedDrivers:
     def test_imm_supervised_bitexact_under_crash(self, ba_graph):
         base = imm(ba_graph, k=5, eps=0.5, seed=2, theta_cap=400)
+        opts = {"fault_plan": "crash:0@2", "chunk_size": 29, "backoff_base": 0.0}
         res = imm(
             ba_graph, k=5, eps=0.5, seed=2, theta_cap=400,
-            workers=2, supervise=True,
-            supervisor_opts={
-                "fault_plan": "crash:0@2", "chunk_size": 29,
-                "backoff_base": 0.0,
-            },
+            workers=2, supervisor_opts=opts,
         )
         assert np.array_equal(base.seeds, res.seeds)
         assert base.theta == res.theta
-        assert res.extra["supervised"]
-        assert res.extra["supervisor"]["injected_crashes"] == 1
+        assert res.extra["coverage_history"] == base.extra["coverage_history"]
+        assert res.extra["engine"]["injected_crashes"] == 1
+        assert res.extra["engine"]["rebuilds"] == 1
+        # the same run without a crash budget fails fast, typed
+        with pytest.raises(WorkerCrashError):
+            imm(
+                ba_graph, k=5, eps=0.5, seed=2, theta_cap=400,
+                workers=2, supervisor_opts={**opts, "crash_budget": 0},
+            )
 
     def test_imm_deadline_returns_degraded_result(self, ba_graph):
         res = imm(
             ba_graph, k=5, eps=0.5, seed=2, theta_cap=400,
-            workers=2, supervise=True, supervisor_opts={"deadline": 1e-4},
+            workers=2, supervisor_opts={"deadline": 1e-4},
         )
         assert isinstance(res, DegradedResult)
         assert res.degraded and res.extra["degraded"]
@@ -349,7 +359,7 @@ class TestSupervisedDrivers:
         with pytest.raises(ValueError, match="sorted"):
             imm(
                 ba_graph, k=5, eps=0.5, seed=2, theta_cap=200,
-                layout="hypergraph", supervise=True,
+                layout="hypergraph", supervisor_opts={"deadline": 60.0},
             )
 
 
